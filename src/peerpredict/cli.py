@@ -12,7 +12,7 @@ import json
 import sys
 
 from .equilibria import equilibrium_set, plot_data
-from .errors import PeerPredictError
+from .errors import OutOfRange, PeerPredictError
 from .mechanism import MechanismSpec, min_agents_focal
 from .optimizer import gap, optimal_mechanism
 from .prior import model_from_dict, prior_from_dict
@@ -42,11 +42,15 @@ def _emit(obj, path: str | None):
         sys.stdout.write(text)
 
 
+def _reject_constant(name: str):
+    raise OutOfRange(f"JSON input must be finite, got {name}")
+
+
 def _json_arg(raw: str):
     if raw.startswith("@"):
         with open(raw[1:]) as fh:
-            return json.load(fh)
-    return json.loads(raw)
+            return json.load(fh, parse_constant=_reject_constant)
+    return json.loads(raw, parse_constant=_reject_constant)
 
 
 def _load_prior(raw: str):

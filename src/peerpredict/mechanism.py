@@ -5,7 +5,7 @@ arithmetic tying the punishment level to the agent count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,19 +31,21 @@ class MechanismSpec:
     def __post_init__(self):
         if self.n_agents < 2:
             raise OutOfRange(f"a mechanism needs at least 2 agents, got {self.n_agents}")
-        if self.punishment < 0.0:
-            raise OutOfRange(f"punishment must be non-negative, got {self.punishment}")
+        if not (math.isfinite(self.punishment) and self.punishment >= 0.0):
+            raise OutOfRange(f"punishment must be finite and non-negative, got {self.punishment}")
         if self.punishment > 0.0 and self.model is None:
             raise OutOfRange("a punishment level requires the generative model that sets it")
+        if len(self.dim_matrices) == 1:
+            raise OutOfRange("dim_matrices needs at least 2 matrices; one dimension uses matrix")
+        if self.punishment > 0.0 and self.dim_matrices:
+            raise OutOfRange("the all-same-report punishment needs single-bit reports")
 
     @property
     def dimensions(self) -> int:
         return len(self.dim_matrices) if self.dim_matrices else 1
 
     def matrix_for(self, dim: int) -> PayoffMatrix:
-        if self.dimensions == 1:
-            return self.matrix
-        return self.dim_matrices[dim]
+        return self.dim_matrices[dim] if self.dim_matrices else self.matrix
 
     def to_dict(self) -> dict:
         d = {"matrix": self.matrix.to_dict(), "n_agents": self.n_agents,
@@ -69,95 +71,89 @@ class MechanismSpec:
 @dataclass(frozen=True)
 class PaymentRound:
     """One round of collected reports; reports[i] is agent i's bit, or a
-    length-d bit vector in the multidimensional mechanism."""
+    length-d bit vector in the multidimensional mechanism.  `bits` holds the
+    validated reports as n lists of d ints."""
 
     reports: tuple
     seed: int = 0
     round_id: int = 0
-    pairing: str = "uniform"
+    bits: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            bits = np.array(self.reports).reshape(len(self.reports), -1)
+        except ValueError:  # ragged or empty
+            raise OutOfRange("every agent row needs the same number of bit columns") from None
+        if bits.dtype.kind not in "biu" or not ((bits == 0) | (bits == 1)).all():
+            raise OutOfRange(f"reports must be bits, got {self.reports!r}")
+        if not 0 <= self.round_id < 2 ** 64:
+            raise OutOfRange(f"round id must lie in [0, 2**64), got {self.round_id}")
+        object.__setattr__(self, "bits", bits.tolist())
 
     @classmethod
     def from_csv(cls, text: str, seed: int = 0, round_id: int = 0) -> "PaymentRound":
         """Parse reports from CSV: one row per agent, d columns of bits."""
-        rows = []
-        for line in text.strip().splitlines():
-            bits = tuple(int(cell) for cell in line.split(","))
-            if any(b not in (0, 1) for b in bits):
-                raise OutOfRange(f"reports must be bits, got row {line!r}")
-            rows.append(bits)
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise OutOfRange("every agent row needs the same number of bit columns")
-        if len(rows[0]) == 1:
-            return cls(reports=tuple(r[0] for r in rows), seed=seed, round_id=round_id)
-        return cls(reports=tuple(rows), seed=seed, round_id=round_id)
+        rows = [tuple(int(cell) for cell in line.split(",")) for line in text.strip().splitlines()]
+        return cls(reports=tuple(r[0] if len(r) == 1 else r for r in rows),
+                   seed=seed, round_id=round_id)
 
 
-def _round_words(seed: int, round_id: int, agent: int, count: int) -> list[int]:
-    """First raw 64-bit outputs of the counter-based stream keyed by
-    (seed, round, agent): independent across agents, reproducible, and cheap
-    to evaluate for any round without materializing global state."""
-    bg = np.random.Philox(key=seed & (2 ** 64 - 1), counter=[0, 0, round_id, agent])
-    return [int(w) for w in bg.random_raw(count)]
-
-
-def _peer_from_word(word: int, n: int, i: int) -> int:
-    j = word % (n - 1)  # modulo bias is O(n / 2^64), far below payment precision
-    return j if j < i else j + 1
-
-
-def ppm_pay(spec: MechanismSpec, rnd: PaymentRound, i: int) -> float:
-    """Pay agent i against a uniformly drawn peer: h[peer report, own report]."""
-    n = spec.n_agents
-    if not 0 <= i < n or len(rnd.reports) != n:
-        raise IndexOutOfRange(f"agent {i} / reports of length {len(rnd.reports)} vs n={n}")
-    word = _round_words(rnd.seed, rnd.round_id, i, 1)[0]
-    j = _peer_from_word(word, n, i)
-    return spec.matrix.payment(int(rnd.reports[j]), int(rnd.reports[i]))
-
-
-def ppm_pay_rounds(spec: MechanismSpec, reports, i: int, seed: int, round_ids) -> np.ndarray:
-    """Vectorized ppm_pay over many round ids with fixed reports; bit-identical
-    to calling ppm_pay round by round."""
-    n = spec.n_agents
-    if not 0 <= i < n or len(reports) != n:
-        raise IndexOutOfRange(f"agent {i} / reports of length {len(reports)} vs n={n}")
-    bg = np.random.Philox(key=seed & (2 ** 64 - 1))
+def _pay(spec: MechanismSpec, rnd: PaymentRound, i: int, round_ids, punish: bool) -> np.ndarray:
+    """Agent i's payment in each listed round: h_k[peer report, own report] on a
+    uniformly drawn dimension k against a uniformly drawn peer, minus the
+    punishment when `punish` is set and all others reported alike.  The draws
+    are the first raw words of the Philox stream keyed by the seed at counter
+    (0, 0, round id, agent); word 0 picks k when d > 1, the last word the peer."""
+    n, d, bits = spec.n_agents, spec.dimensions, rnd.bits
+    if not 0 <= i < n or len(bits) != n or len(bits[0]) != d:
+        raise IndexOutOfRange(f"agent {i} / {len(bits)} reports of width {len(bits[0])} "
+                              f"vs n={n}, d={d}")
+    penalty = 0.0
+    if punish and spec.punishment > 0.0:  # the spec allows punishment only when d = 1
+        others = sum(row[0] for row in bits) - bits[i][0]
+        penalty = spec.punishment if others in (0, n - 1) else 0.0
+    # cols[k][peer report]: agent i's payment on dimension k
+    cols = [[spec.matrix_for(k).payment(pb, bits[i][k]) - penalty for pb in (0, 1)]
+            for k in range(d)]
+    bg = np.random.Philox(key=rnd.seed & (2 ** 64 - 1))
     state = bg.state
     counter = state["state"]["counter"]
     counter[3] = i
-    words = np.empty(len(round_ids), dtype=np.uint64)
-    for pos, rid in enumerate(round_ids):
-        counter[2] = rid
-        bg.state = state
-        words[pos] = bg.random_raw()
-    peers = (words % (n - 1)).astype(np.int64)
-    peers = peers + (peers >= i)
-    rep = np.asarray(reports, dtype=np.int64)
-    table = np.array([[spec.matrix.payment(pb, ob) for ob in (0, 1)] for pb in (0, 1)])
-    return table[rep[peers], rep[i]]
+    pays = []
+    try:
+        for rid in round_ids:
+            counter[2] = rid
+            bg.state = state
+            # modulo bias is O(n / 2^64), far below payment precision
+            if d == 1:
+                k, j = 0, bg.random_raw() % (n - 1)
+            else:
+                w_dim, w_peer = bg.random_raw(2).tolist()
+                k, j = w_dim % d, w_peer % (n - 1)
+            j += j >= i
+            pays.append(cols[k][bits[j][k]])
+    except OverflowError:
+        raise OutOfRange("round ids must lie in [0, 2**64)") from None
+    return np.array(pays)
+
+
+def ppm_pay(spec: MechanismSpec, rnd: PaymentRound, i: int) -> float:
+    """Agent i's payment h[peer report, own report] against a uniformly drawn
+    peer, on a uniformly drawn dimension when d > 1; multidim_pay is this function."""
+    return float(_pay(spec, rnd, i, (rnd.round_id,), punish=False)[0])
+
+
+multidim_pay = ppm_pay
+
+
+def ppm_pay_rounds(spec: MechanismSpec, reports, i: int, seed: int, round_ids) -> np.ndarray:
+    """ppm_pay over many round ids with fixed reports, as one array."""
+    return _pay(spec, PaymentRound(reports=tuple(reports), seed=seed), i, round_ids, punish=False)
 
 
 def mppm_pay(spec: MechanismSpec, rnd: PaymentRound, i: int) -> float:
     """ppm_pay minus the punishment when all other agents reported alike."""
-    pay = ppm_pay(spec, rnd, i)
-    others = [int(rnd.reports[j]) for j in range(spec.n_agents) if j != i]
-    if all(b == others[0] for b in others):
-        pay -= spec.punishment
-    return pay
-
-
-def multidim_pay(spec: MechanismSpec, rnd: PaymentRound, i: int) -> float:
-    """Pay agent i on a uniformly drawn dimension k against a uniformly drawn
-    peer, using the dimension-k matrix.  Reduces to ppm_pay when d = 1."""
-    n, d = spec.n_agents, spec.dimensions
-    if not 0 <= i < n or len(rnd.reports) != n:
-        raise IndexOutOfRange(f"agent {i} / reports of length {len(rnd.reports)} vs n={n}")
-    if d == 1:
-        return ppm_pay(spec, rnd, i)
-    w_dim, w_peer = _round_words(rnd.seed, rnd.round_id, i, 2)
-    k = w_dim % d
-    j = _peer_from_word(w_peer, n, i)
-    return spec.matrix_for(k).payment(int(rnd.reports[j][k]), int(rnd.reports[i][k]))
+    return float(_pay(spec, rnd, i, (rnd.round_id,), punish=True)[0])
 
 
 def punishment_level(t: float, delta_star: float, eps_q: float) -> float:

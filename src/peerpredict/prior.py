@@ -177,6 +177,8 @@ def epsilon_q(model: GenerativeModel) -> float:
 
 
 def model_from_dict(d: dict) -> GenerativeModel:
+    if not isinstance(d, dict):
+        raise OutOfRange(f"a model must be a JSON object, got {d!r}")
     kind = d.get("kind")
     n = int(d.get("n", d.get("n_agents", 2)))
     if kind == "uniform":
@@ -184,13 +186,16 @@ def model_from_dict(d: dict) -> GenerativeModel:
     if kind == "beta":
         return GenerativeModel.beta(float(d["a"]), float(d["b"]), n)
     if kind == "discrete":
-        return GenerativeModel.discrete(d["points"], d["weights"], n)
+        return GenerativeModel.discrete([float(p) for p in d["points"]],
+                                        [float(w) for w in d["weights"]], n)
     raise OutOfRange(f"unknown model kind {kind!r}")
 
 
 def prior_from_dict(d: dict) -> tuple[Prior, GenerativeModel | None]:
     """Parse the JSON prior schema; returns the prior and, when the prior is
     given generatively, the model it came from."""
+    if not isinstance(d, dict):
+        raise OutOfRange(f"a prior must be a JSON object, got {d!r}")
     if d.get("kind") == "conditionals":
         return prior_from_conditionals(float(d["q11"]), float(d["q10"])), None
     model = model_from_dict(d)

@@ -27,6 +27,10 @@ class PayoffMatrix:
     h01: float
     h00: float
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.entries()):
+            raise OutOfRange(f"payoff matrix entries must be finite, got {self.entries()}")
+
     def entries(self) -> tuple[float, float, float, float]:
         return (self.h11, self.h10, self.h01, self.h00)
 

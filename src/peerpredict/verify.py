@@ -245,7 +245,7 @@ def _mc_block(model_list, spec: MechanismSpec, profile: np.ndarray,
     peer = reports[trial_rows, peers, dims]
     pay = tables[dims, peer, own]
 
-    if spec.punishment > 0.0 and d == 1:
+    if spec.punishment > 0.0:
         flat = reports[:, :, 0]
         totals = flat.sum(axis=1, dtype=np.int64)[:, None]
         others = totals - flat

@@ -78,6 +78,13 @@ class TestGapVerb:
         assert p.returncode == 1
         assert "DegenerateMatrix" in p.stderr
 
+    def test_non_finite_json_literal(self):
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            matrix = '{"h11":%s,"h10":0.0,"h01":0.0,"h00":1.0}' % literal
+            p = run_cli("gap", "--prior", UNIFORM_PRIOR, "--matrix", matrix)
+            assert p.returncode == 1
+            assert "OutOfRange" in p.stderr
+
 
 class TestSimulateVerb:
     SPEC = json.dumps({
@@ -107,6 +114,16 @@ class TestSimulateVerb:
         out = json.loads(p.stdout)
         assert len(out["mean"]) == 4 and len(out["stderr"]) == 4
         assert out["trials"] == 5000 and out["seed"] == 0
+
+    def test_punished_multidim_spec_rejected(self):
+        spec = json.loads(self.SPEC)
+        spec["punishment"] = 0.5
+        spec["dim_matrices"] = [spec["matrix"], {"h11": 0.9, "h10": 0.0, "h01": 0.1, "h00": 0.6}]
+        profile = json.dumps([[[0.0, 1.0]] * 2] * 4)
+        p = run_cli("simulate", "--spec", json.dumps(spec), "--profile", profile,
+                    "--trials", "100")
+        assert p.returncode == 1
+        assert "OutOfRange" in p.stderr
 
 
 class TestPlotVerb:
@@ -146,6 +163,15 @@ class TestOtherVerbs:
         out = json.loads(p.stdout)
         assert out["analytic_count"] == 7
         assert out["unmatched_clusters"] == []
+
+    def test_malformed_prior_json(self):
+        p = run_cli("analyze", "--prior", "[1]")
+        assert p.returncode == 1
+        assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
+        prior = '{"kind":"discrete","points":[0.2,0.8],"weights":["a",1],"n":10}'
+        p = run_cli("analyze", "--prior", prior)
+        assert p.returncode == 2
+        assert "invalid input" in p.stderr and "Traceback" not in p.stderr
 
     def test_flag_error_exit_code(self):
         p = run_cli("equilibria")  # missing --prior

@@ -7,10 +7,59 @@ from peerpredict import (GenerativeModel, MechanismSpec, NeverFocal, OutOfRange,
                          min_agents_focal, mppm_equilibrium_payoffs, mppm_pay,
                          multidim_pay, optimal_mechanism, ppm_pay, prior_from_model,
                          punishment_level, renormalized)
+from peerpredict import IndexOutOfRange
 from peerpredict.mechanism import ppm_pay_rounds
 
 MATRIX = PayoffMatrix(h11=1.0, h10=0.2, h01=0.1, h00=0.7)
+MATRIX_B = PayoffMatrix(0.9, 0.0, 0.1, 0.6)
 MODEL_0509 = GenerativeModel.uniform(0.5, 0.9, 30)
+
+
+def reference_pay(spec, reports, seed, rid, i, punish):
+    """One payment rebuilt from a fresh Philox stream at counter
+    (0, 0, rid, i): word 0 picks the dimension when d > 1, the last word the
+    peer; the punishment applies when all other reports are alike."""
+    n, d = spec.n_agents, spec.dimensions
+    counter = np.array([0, 0, rid, i], dtype=np.uint64)
+    words = [int(w) for w in np.random.Philox(key=seed, counter=counter).random_raw(min(d, 2))]
+    k = words[0] % d
+    j = words[-1] % (n - 1)
+    j += j >= i
+    peer, own = (reports[j], reports[i]) if d == 1 else (reports[j][k], reports[i][k])
+    pay = spec.matrix_for(k).payment(peer, own)
+    others = [reports[x] for x in range(n) if x != i]
+    if punish and all(b == others[0] for b in others):
+        pay -= spec.punishment
+    return pay
+
+
+class TestPaymentStream:
+    SEEDS = (0, 5, 2 ** 32 + 7, 2 ** 64 - 1)
+    ROUND_IDS = (0, 1, 977, 2 ** 63, 2 ** 64 - 1)
+    CASES = [
+        (MechanismSpec(matrix=MATRIX, n_agents=5), (1, 0, 1, 1, 0)),
+        (MechanismSpec(matrix=MATRIX, n_agents=5, punishment=0.4, model=MODEL_0509),
+         (1, 1, 1, 1, 1)),
+        (MechanismSpec(matrix=MATRIX, n_agents=5, punishment=0.4, model=MODEL_0509),
+         (1, 1, 0, 1, 1)),
+        (MechanismSpec(matrix=MATRIX, n_agents=4, dim_matrices=(MATRIX, MATRIX_B)),
+         ((1, 0), (0, 0), (1, 1), (0, 1))),
+    ]
+
+    @pytest.mark.parametrize("spec, reports", CASES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_entry_point_matches_reference(self, spec, reports, seed):
+        for i in range(spec.n_agents):
+            for rid in self.ROUND_IDS:
+                rnd = PaymentRound(reports=reports, seed=seed, round_id=rid)
+                plain = reference_pay(spec, reports, seed, rid, i, punish=False)
+                assert ppm_pay(spec, rnd, i) == plain
+                assert multidim_pay(spec, rnd, i) == plain
+                assert mppm_pay(spec, rnd, i) == reference_pay(spec, reports, seed, rid, i,
+                                                               punish=True)
+            batch = ppm_pay_rounds(spec, reports, i, seed, self.ROUND_IDS)
+            assert list(batch) == [reference_pay(spec, reports, seed, rid, i, punish=False)
+                                   for rid in self.ROUND_IDS]
 
 
 class TestPpmPay:
@@ -44,10 +93,25 @@ class TestPpmPay:
             assert ppm_pay(spec, rnd, 1) == batch[rid]
 
     def test_index_guard(self):
-        from peerpredict import IndexOutOfRange
         spec = MechanismSpec(matrix=MATRIX, n_agents=3)
         with pytest.raises(IndexOutOfRange):
             ppm_pay(spec, PaymentRound(reports=(1, 0, 1), seed=0), 3)
+
+    def test_report_width_must_match_dimensions(self):
+        spec_d1 = MechanismSpec(matrix=MATRIX, n_agents=3)
+        spec_d2 = MechanismSpec(matrix=MATRIX, n_agents=3, dim_matrices=(MATRIX, MATRIX_B))
+        with pytest.raises(IndexOutOfRange):
+            ppm_pay(spec_d1, PaymentRound(reports=((1, 0), (0, 0), (1, 1))), 0)
+        with pytest.raises(IndexOutOfRange):
+            multidim_pay(spec_d2, PaymentRound(reports=(1, 0, 1)), 0)
+
+    def test_round_id_range(self):
+        spec = MechanismSpec(matrix=MATRIX, n_agents=3)
+        for rid in (-1, 2 ** 64):
+            with pytest.raises(OutOfRange):
+                PaymentRound(reports=(1, 0, 1), round_id=rid)
+            with pytest.raises(OutOfRange):
+                ppm_pay_rounds(spec, (1, 0, 1), 0, seed=0, round_ids=[0, rid])
 
 
 class TestMppmPay:
@@ -236,6 +300,13 @@ class TestMultidim:
             MechanismSpec(matrix=MATRIX, n_agents=1)
         with pytest.raises(OutOfRange):
             MechanismSpec(matrix=MATRIX, n_agents=3, punishment=0.5)  # no model
+        with pytest.raises(OutOfRange):
+            MechanismSpec(matrix=MATRIX, n_agents=3, dim_matrices=(MATRIX_B,))
+        with pytest.raises(OutOfRange):
+            MechanismSpec(matrix=MATRIX, n_agents=3, punishment=0.5, model=MODEL_0509,
+                          dim_matrices=(MATRIX, MATRIX_B))
+        with pytest.raises(OutOfRange):
+            MechanismSpec(matrix=MATRIX, n_agents=3, punishment=float("nan"), model=MODEL_0509)
 
     def test_spec_round_trip(self):
         spec = MechanismSpec(matrix=MATRIX, n_agents=5, punishment=0.3, model=MODEL_0509)
@@ -261,3 +332,8 @@ class TestRoundsFromCsv:
     def test_non_bit_rejected(self):
         with pytest.raises(OutOfRange):
             PaymentRound.from_csv("2\n1\n")
+        with pytest.raises(OutOfRange):
+            PaymentRound(reports=(1, 2, 0))
+        with pytest.raises(OutOfRange):
+            ppm_pay_rounds(MechanismSpec(matrix=MATRIX, n_agents=3), (1, 2, 0), 0,
+                           seed=0, round_ids=[0])

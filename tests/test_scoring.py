@@ -132,6 +132,11 @@ class TestMatrices:
         with pytest.raises(DegenerateMatrix):
             normalize(PayoffMatrix(0.3, 0.3, 0.3, 0.3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(OutOfRange):
+            PayoffMatrix(1.0, 0.0, bad, 0.7)
+
 
 class TestNormalize:
     def test_forced_example(self):
