@@ -15,7 +15,7 @@ from .equilibria import equilibrium_set, plot_data
 from .errors import OutOfRange, PeerPredictError
 from .mechanism import MechanismSpec, min_agents_focal
 from .optimizer import gap, optimal_mechanism
-from .prior import model_from_dict, prior_from_dict
+from .prior import epsilon_q, model_from_dict, prior_from_dict, prior_from_model
 from .scoring import BRIER, PayoffMatrix, matrix_from_rule
 from .verify import grid_scan, monte_carlo
 
@@ -71,7 +71,6 @@ def cmd_analyze(args) -> int:
     prior, model = _load_prior(args.prior)
     out = {"prior": prior.to_dict()}
     if model is not None:
-        from .prior import epsilon_q
         out["model"] = model.to_dict()
         if model.n_agents >= 2:
             out["epsilon_q"] = epsilon_q(model)
@@ -158,7 +157,6 @@ def cmd_plot(args) -> int:
 
 def cmd_min_agents(args) -> int:
     model = model_from_dict(_json_arg(args.model))
-    from .prior import prior_from_model
     report = optimal_mechanism(prior_from_model(model))
     n = min_agents_focal(model, report.truth_payoff, report.delta_star)
     sys.stdout.write(f"{n}\n")

@@ -9,7 +9,7 @@ payoffs of all equilibria directly comparable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import OutOfRange, OutsideHull
@@ -105,62 +105,55 @@ def strategy_from_point(prior: Prior, p: ResponsePoint) -> SymmetricStrategy:
     return SymmetricStrategy(t0=t0, t1=t1)
 
 
-def _candidate_strategies(prior: Prior, qstar: float) -> list[tuple[str, SymmetricStrategy]]:
-    q11, q10, q00, q01 = prior.q11, prior.q10, prior.q00, prior.q01
-    out = [
-        ("Zero", SymmetricStrategy(0.0, 0.0)),
-        ("One", SymmetricStrategy(1.0, 1.0)),
-        ("Truth", SymmetricStrategy(0.0, 1.0)),
-        ("QStarMix", SymmetricStrategy(qstar, qstar)),
-        ("TruthOne", SymmetricStrategy((qstar - q10) / q00, 1.0)),
-        ("TruthZero", SymmetricStrategy(0.0, qstar / q11)),
-    ]
-    if q01 <= qstar <= q00:
-        out.append(("Lie", SymmetricStrategy(1.0, 0.0)))
-    if q01 <= qstar:
-        out.append(("LieOne", SymmetricStrategy(1.0, (qstar - q01) / q11)))
-    if qstar <= q00:
-        out.append(("LieZero", SymmetricStrategy(qstar / q00, 0.0)))
-    return out
+def _coincide(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    """Two (x, y) pairs are the same point when both coordinates agree within MERGE_TOL."""
+    return abs(a[0] - b[0]) < MERGE_TOL and abs(a[1] - b[1]) < MERGE_TOL
 
 
 def enumerate_equilibria(prior: Prior, qstar: float,
                          matrix: Optional[PayoffMatrix] = None) -> EquilibriumSet:
     """All symmetric equilibria of a strict mechanism with break-even qstar.
 
-    Always emits Zero, One, Truth, QStarMix, TruthOne and TruthZero; Lie,
-    LieOne and LieZero appear under their respective conditions on qstar.
-    Coinciding candidates merge (count 7, 8 or 9).  When a matrix is supplied
-    its payoffs are attached.
+    Candidates are emitted in LABELS precedence order: Zero, One and Truth
+    always; Lie when q(0|1) <= qstar <= q(0|0); QStarMix, TruthOne and
+    TruthZero always; LieOne when q(0|1) <= qstar; LieZero when
+    qstar <= q(0|0).  A candidate that coincides with an earlier one is
+    dropped, so the earlier label wins (count 7, 8 or 9).  When a matrix is
+    supplied its payoffs are attached.
     """
     if not (prior.q10 < qstar < prior.q11):
         raise OutOfRange(
             f"qstar must lie strictly between q(1|0)={prior.q10} and q(1|1)={prior.q11}, got {qstar}"
         )
-    candidates = _candidate_strategies(prior, qstar)
-    order = {lbl: i for i, lbl in enumerate(LABELS)}
-    candidates.sort(key=lambda kv: order[kv[0]])
+    q11, q10, q00, q01 = prior.q11, prior.q10, prior.q00, prior.q01
+    candidates = [("Zero", 0.0, 0.0), ("One", 1.0, 1.0), ("Truth", 0.0, 1.0)]
+    if q01 <= qstar <= q00:
+        candidates.append(("Lie", 1.0, 0.0))
+    candidates += [("QStarMix", qstar, qstar),
+                   ("TruthOne", (qstar - q10) / q00, 1.0),
+                   ("TruthZero", 0.0, qstar / q11)]
+    if q01 <= qstar:
+        candidates.append(("LieOne", 1.0, (qstar - q01) / q11))
+    if qstar <= q00:
+        candidates.append(("LieZero", qstar / q00, 0.0))
 
+    ls = matrix.lineset() if matrix is not None else None
     kept: list[Equilibrium] = []
-    for label, strat in candidates:
-        if any(abs(strat.t0 - e.strategy.t0) < MERGE_TOL
-               and abs(strat.t1 - e.strategy.t1) < MERGE_TOL for e in kept):
+    for label, t0, t1 in candidates:
+        strat = SymmetricStrategy(t0, t1)
+        if any(_coincide((strat.t0, strat.t1), (e.strategy.t0, e.strategy.t1)) for e in kept):
             continue
-        kept.append(Equilibrium(label=label, strategy=strat,
-                                point=response_point(prior, strat)))
-
-    if matrix is not None:
-        ls = matrix.lineset()
-        filled = []
-        for e in kept:
-            if e.label == "Zero":
-                pay = matrix.h00
-            elif e.label == "One":
-                pay = matrix.h11
-            else:
-                pay = best_response_payoff(prior, ls, e.point)
-            filled.append(replace(e, payoff=pay))
-        kept = filled
+        point = response_point(prior, strat)
+        # Zero and One pay h00 and h11 exactly; best_response_payoff would round them
+        if matrix is None:
+            payoff = None
+        elif label == "Zero":
+            payoff = matrix.h00
+        elif label == "One":
+            payoff = matrix.h11
+        else:
+            payoff = best_response_payoff(prior, ls, point)
+        kept.append(Equilibrium(label=label, strategy=strat, point=point, payoff=payoff))
     return EquilibriumSet(equilibria=tuple(kept))
 
 
@@ -269,33 +262,22 @@ class HullReport:
 def hull_report(prior: Prior, qstar: float) -> HullReport:
     """Convex hull of the translated informative equilibria, centred on
     whether truth-telling is an extreme point and who its neighbors are."""
-    eqset = enumerate_equilibria(prior, qstar)
-    labels = []
-    pts = []
-    for e in eqset.informative():
+    translated = {}
+    for e in enumerate_equilibria(prior, qstar).informative():
         f = translate(prior, qstar, e.point)
-        labels.append(e.label)
-        pts.append((f.x, f.y))
-    translated = {lbl: pt for lbl, pt in zip(labels, pts)}
+        translated[e.label] = (f.x, f.y)
 
     truth_pt = translated["Truth"]
-    lie_coincides = False
-    if "Lie" in translated:
-        fx, fy = translated["Lie"]
-        lie_coincides = abs(fx - truth_pt[0]) < MERGE_TOL and abs(fy - truth_pt[1]) < MERGE_TOL
+    lie_coincides = "Lie" in translated and _coincide(translated["Lie"], truth_pt)
 
-    # dedupe coincident translated points before hull construction
-    uniq: list[tuple[float, float]] = []
+    # dedupe coincident translated points before hull construction; the
+    # insertion order of `translated` breaks hull ties
     uniq_labels: list[str] = []
-    for lbl, pt in zip(labels, pts):
-        for upt in uniq:
-            if abs(pt[0] - upt[0]) < MERGE_TOL and abs(pt[1] - upt[1]) < MERGE_TOL:
-                break
-        else:
-            uniq.append(pt)
+    for lbl, pt in translated.items():
+        if not any(_coincide(pt, translated[u]) for u in uniq_labels):
             uniq_labels.append(lbl)
 
-    hull_idx = _hull(uniq)
+    hull_idx = _hull([translated[lbl] for lbl in uniq_labels])
     hull_labels = [uniq_labels[i] for i in hull_idx]
     truth_extreme = "Truth" in hull_labels
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .equilibria import equilibrium_set
 from .errors import IndexOutOfRange, NeverFocal, OutOfRange
-from .prior import GenerativeModel, epsilon_q, prior_from_model
+from .prior import GenerativeModel, epsilon_q, model_from_dict, prior_from_model
 from .scoring import PayoffMatrix
 
 
@@ -58,13 +58,17 @@ class MechanismSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MechanismSpec":
-        from .prior import model_from_dict
+        if not isinstance(d, dict):
+            raise OutOfRange(f"a mechanism spec must be a JSON object, got {d!r}")
+        dims = d.get("dim_matrices", [])
+        if not isinstance(dims, (list, tuple)):
+            raise OutOfRange(f"dim_matrices must be a list of matrices, got {dims!r}")
         return cls(
             matrix=PayoffMatrix.from_dict(d["matrix"]),
             n_agents=int(d["n_agents"]),
             punishment=float(d.get("punishment", 0.0)),
             model=model_from_dict(d["model"]) if "model" in d else None,
-            dim_matrices=tuple(PayoffMatrix.from_dict(m) for m in d.get("dim_matrices", ())),
+            dim_matrices=tuple(PayoffMatrix.from_dict(m) for m in dims),
         )
 
 
@@ -122,7 +126,7 @@ def _pay(spec: MechanismSpec, rnd: PaymentRound, i: int, round_ids, punish: bool
     pays = []
     try:
         for rid in round_ids:
-            counter[2] = rid
+            counter[2] = int(rid)  # a Python int raises on a negative id; a numpy one would wrap
             bg.state = state
             # modulo bias is O(n / 2^64), far below payment precision
             if d == 1:
@@ -263,14 +267,18 @@ def build_mppm(model: GenerativeModel, epsilon: Optional[float] = None) -> Mecha
 
 def renormalized(spec: MechanismSpec) -> MechanismSpec:
     """Affine rescale so all possible payments (including punished ones) land
-    in [0,1]; focality comparisons are preserved."""
-    entries = spec.matrix.entries()
+    in [0,1]; focality comparisons are preserved.  One map covers the matrix
+    and every dimension matrix, so the dimensions stay comparable."""
+    entries = [v for m in (spec.matrix, *spec.dim_matrices) for v in m.entries()]
     lo = min(entries) - spec.punishment
     hi = max(entries)
     span = hi - lo
     if span <= 0.0:
         raise OutOfRange("payment range is empty; nothing to rescale")
-    matrix = PayoffMatrix(*((v - lo) / span for v in entries))
-    return MechanismSpec(matrix=matrix, n_agents=spec.n_agents,
+
+    def rescale(m: PayoffMatrix) -> PayoffMatrix:
+        return PayoffMatrix(*((v - lo) / span for v in m.entries()))
+
+    return MechanismSpec(matrix=rescale(spec.matrix), n_agents=spec.n_agents,
                          punishment=spec.punishment / span, model=spec.model,
-                         dim_matrices=spec.dim_matrices)
+                         dim_matrices=tuple(rescale(m) for m in spec.dim_matrices))

@@ -54,9 +54,8 @@ class GapReport:
         return d
 
 
-def gap(prior: Prior, pf: PayoffMatrix) -> float:
-    """Truth-telling's payoff minus the best payoff among the other
-    informative equilibria under pf."""
+def _truth_and_gap(prior: Prior, pf: PayoffMatrix) -> tuple[float, float]:
+    """Truth-telling's payoff under pf and its gap, from one enumeration."""
     entries = pf.entries()
     if max(entries) == min(entries):
         raise DegenerateMatrix("all payoff entries are equal")
@@ -71,8 +70,13 @@ def gap(prior: Prior, pf: PayoffMatrix) -> float:
         )
     eqs = equilibrium_set(prior, pf)
     truth = eqs["Truth"].payoff
-    rivals = [e.payoff for e in eqs.equilibria if e.label not in ("Truth", "Zero", "One")]
-    return truth - max(rivals)
+    return truth, truth - max(e.payoff for e in eqs.informative() if e.label != "Truth")
+
+
+def gap(prior: Prior, pf: PayoffMatrix) -> float:
+    """Truth-telling's payoff minus the best payoff among the other
+    informative equilibria under pf."""
+    return _truth_and_gap(prior, pf)[1]
 
 
 def xi(prior: Prior, k: float, qstar: float) -> float:
@@ -205,9 +209,8 @@ def optimal_mechanism(prior: Prior, epsilon: Optional[float] = None) -> GapRepor
         matrix = normalize(lineset_to_matrix(lineset_from_k_qstar(k_sup(p, qs), qs, p)))
         eps_used = epsilon
 
-    delta_star = gap(p, matrix)  # authoritative value; closed forms are shadow-checked in tests
-    eqs = equilibrium_set(p, matrix)
-    truth_payoff = eqs["Truth"].payoff
+    # authoritative values; closed forms are shadow-checked in tests
+    truth_payoff, delta_star = _truth_and_gap(p, matrix)
 
     if mirrored:
         matrix = matrix.mirrored()

@@ -186,6 +186,9 @@ def model_from_dict(d: dict) -> GenerativeModel:
     if kind == "beta":
         return GenerativeModel.beta(float(d["a"]), float(d["b"]), n)
     if kind == "discrete":
+        for key in ("points", "weights"):
+            if not isinstance(d[key], (list, tuple)):
+                raise OutOfRange(f"discrete {key} must be a list, got {d[key]!r}")
         return GenerativeModel.discrete([float(p) for p in d["points"]],
                                         [float(w) for w in d["weights"]], n)
     raise OutOfRange(f"unknown model kind {kind!r}")

@@ -74,6 +74,8 @@ class PayoffMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PayoffMatrix":
+        if not isinstance(d, dict):
+            raise OutOfRange(f"a payoff matrix must be a JSON object, got {d!r}")
         return cls(h11=float(d["h11"]), h10=float(d["h10"]),
                    h01=float(d["h01"]), h00=float(d["h00"]))
 

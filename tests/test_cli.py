@@ -78,6 +78,11 @@ class TestGapVerb:
         assert p.returncode == 1
         assert "DegenerateMatrix" in p.stderr
 
+    def test_matrix_not_an_object(self):
+        p = run_cli("gap", "--prior", UNIFORM_PRIOR, "--matrix", '"x"')
+        assert p.returncode == 1
+        assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
+
     def test_non_finite_json_literal(self):
         for literal in ("NaN", "Infinity", "-Infinity"):
             matrix = '{"h11":%s,"h10":0.0,"h01":0.0,"h00":1.0}' % literal
@@ -114,6 +119,14 @@ class TestSimulateVerb:
         out = json.loads(p.stdout)
         assert len(out["mean"]) == 4 and len(out["stderr"]) == 4
         assert out["trials"] == 5000 and out["seed"] == 0
+
+    def test_malformed_spec_json(self):
+        spec = json.loads(self.SPEC)
+        for bad in ([1], dict(spec, matrix=[1]), dict(spec, dim_matrices=3)):
+            p = run_cli("simulate", "--spec", json.dumps(bad), "--profile", self.PROFILE,
+                        "--trials", "100")
+            assert p.returncode == 1
+            assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
 
     def test_punished_multidim_spec_rejected(self):
         spec = json.loads(self.SPEC)
@@ -165,9 +178,11 @@ class TestOtherVerbs:
         assert out["unmatched_clusters"] == []
 
     def test_malformed_prior_json(self):
-        p = run_cli("analyze", "--prior", "[1]")
-        assert p.returncode == 1
-        assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
+        for prior in ("[1]", '{"kind":"discrete","points":3,"weights":[1],"n":4}',
+                      '{"kind":"discrete","points":[0.5],"weights":3,"n":4}'):
+            p = run_cli("analyze", "--prior", prior)
+            assert p.returncode == 1
+            assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
         prior = '{"kind":"discrete","points":[0.2,0.8],"weights":["a",1],"n":10}'
         p = run_cli("analyze", "--prior", prior)
         assert p.returncode == 2

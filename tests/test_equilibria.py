@@ -8,6 +8,7 @@ from peerpredict import (BRIER, GenerativeModel, LineSet, OutOfRange, OutsideHul
                          matrix_from_rule, normalize, plot_data, prior_from_conditionals,
                          prior_from_model, quadrant, response_point, strategy_from_point,
                          translate)
+from peerpredict.equilibria import LABELS
 
 RESTAURANT = prior_from_model(GenerativeModel.uniform(0.4, 0.8, 10))
 BRIER_MATRIX = matrix_from_rule(BRIER, RESTAURANT)
@@ -89,6 +90,20 @@ class TestEnumerate:
     def test_qstar_out_of_range(self):
         with pytest.raises(OutOfRange):
             enumerate_equilibria(RESTAURANT, 0.5)
+
+    def test_label_order_and_count(self):
+        # the equilibria CLI verb prints eqs.equilibria in this order
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            q11, q10 = sorted(rng.uniform(0.0, 1.0, 2), reverse=True)
+            p = prior_from_conditionals(q11, q10)
+            for qs in (matrix_from_rule(BRIER, p).qstar(), p.q00, p.q01):
+                if not p.q10 < qs < p.q11:
+                    continue
+                labels = enumerate_equilibria(p, qs).labels()
+                assert labels == tuple(lbl for lbl in LABELS if lbl in labels)
+                # Lie exists on [q01, q00]; strictly inside, LieOne and LieZero stay distinct
+                assert len(labels) == 7 + (p.q01 <= qs <= p.q00) + (p.q01 < qs < p.q00)
 
     def test_invariant_under_normalization_and_shift(self):
         m = BRIER_MATRIX

@@ -57,9 +57,10 @@ class TestPaymentStream:
                 assert multidim_pay(spec, rnd, i) == plain
                 assert mppm_pay(spec, rnd, i) == reference_pay(spec, reports, seed, rid, i,
                                                                punish=True)
-            batch = ppm_pay_rounds(spec, reports, i, seed, self.ROUND_IDS)
-            assert list(batch) == [reference_pay(spec, reports, seed, rid, i, punish=False)
-                                   for rid in self.ROUND_IDS]
+            expected = [reference_pay(spec, reports, seed, rid, i, punish=False)
+                        for rid in self.ROUND_IDS]
+            for round_ids in (self.ROUND_IDS, np.array(self.ROUND_IDS, dtype=np.uint64)):
+                assert list(ppm_pay_rounds(spec, reports, i, seed, round_ids)) == expected
 
 
 class TestPpmPay:
@@ -107,11 +108,13 @@ class TestPpmPay:
 
     def test_round_id_range(self):
         spec = MechanismSpec(matrix=MATRIX, n_agents=3)
-        for rid in (-1, 2 ** 64):
+        for rid in (-1, 2 ** 64, np.int64(-1)):
             with pytest.raises(OutOfRange):
                 PaymentRound(reports=(1, 0, 1), round_id=rid)
             with pytest.raises(OutOfRange):
                 ppm_pay_rounds(spec, (1, 0, 1), 0, seed=0, round_ids=[0, rid])
+        with pytest.raises(OutOfRange):
+            ppm_pay_rounds(spec, (1, 0, 1), 0, seed=0, round_ids=np.array([-1]))
 
 
 class TestMppmPay:
@@ -274,6 +277,15 @@ class TestMppmFocality:
 
 
 class TestMultidim:
+    def test_renormalized_scales_every_dimension(self):
+        wide = PayoffMatrix(3.0, -2.0, 0.1, 0.6)
+        spec = MechanismSpec(matrix=MATRIX, n_agents=3, dim_matrices=(MATRIX, wide))
+        flat = renormalized(spec)
+        for before, after in zip(spec.dim_matrices, flat.dim_matrices):
+            assert all(0.0 <= v <= 1.0 for v in after.entries())
+            order = sorted(range(4), key=before.entries().__getitem__)
+            assert order == sorted(range(4), key=after.entries().__getitem__)
+
     def test_d1_reduces_to_ppm(self):
         spec = MechanismSpec(matrix=MATRIX, n_agents=4)
         rnd = PaymentRound(reports=(0, 1, 1, 0), seed=13, round_id=5)
