@@ -12,7 +12,7 @@ import numpy as np
 
 from .equilibria import equilibrium_set
 from .errors import IndexOutOfRange, NeverFocal, OutOfRange
-from .prior import GenerativeModel, epsilon_q, model_from_dict, prior_from_model
+from .prior import GenerativeModel, _number, epsilon_q, model_from_dict, prior_from_model
 from .scoring import PayoffMatrix
 
 
@@ -65,8 +65,8 @@ class MechanismSpec:
             raise OutOfRange(f"dim_matrices must be a list of matrices, got {dims!r}")
         return cls(
             matrix=PayoffMatrix.from_dict(d["matrix"]),
-            n_agents=int(d["n_agents"]),
-            punishment=float(d.get("punishment", 0.0)),
+            n_agents=_number(d["n_agents"], "n_agents", int),
+            punishment=_number(d.get("punishment", 0.0), "punishment"),
             model=model_from_dict(d["model"]) if "model" in d else None,
             dim_matrices=tuple(PayoffMatrix.from_dict(m) for m in dims),
         )

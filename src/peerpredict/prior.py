@@ -176,21 +176,31 @@ def epsilon_q(model: GenerativeModel) -> float:
     return max(model.moment(m), model.moment(m, complement=True))
 
 
+def _number(value, name: str, cast=float):
+    """cast(value) for a JSON number or numeric string.  A null, list or
+    object raises OutOfRange naming the field; a non-numeric string still
+    raises ValueError."""
+    if not isinstance(value, (int, float, str)):
+        raise OutOfRange(f"{name} must be a number, got {value!r}")
+    return cast(value)
+
+
 def model_from_dict(d: dict) -> GenerativeModel:
     if not isinstance(d, dict):
         raise OutOfRange(f"a model must be a JSON object, got {d!r}")
     kind = d.get("kind")
-    n = int(d.get("n", d.get("n_agents", 2)))
+    n_key = "n" if "n" in d else "n_agents"
+    n = _number(d.get(n_key, 2), n_key, int)
     if kind == "uniform":
-        return GenerativeModel.uniform(float(d["a"]), float(d["b"]), n)
+        return GenerativeModel.uniform(_number(d["a"], "a"), _number(d["b"], "b"), n)
     if kind == "beta":
-        return GenerativeModel.beta(float(d["a"]), float(d["b"]), n)
+        return GenerativeModel.beta(_number(d["a"], "a"), _number(d["b"], "b"), n)
     if kind == "discrete":
         for key in ("points", "weights"):
             if not isinstance(d[key], (list, tuple)):
                 raise OutOfRange(f"discrete {key} must be a list, got {d[key]!r}")
-        return GenerativeModel.discrete([float(p) for p in d["points"]],
-                                        [float(w) for w in d["weights"]], n)
+        return GenerativeModel.discrete([_number(p, "a points entry") for p in d["points"]],
+                                        [_number(w, "a weights entry") for w in d["weights"]], n)
     raise OutOfRange(f"unknown model kind {kind!r}")
 
 
@@ -200,6 +210,6 @@ def prior_from_dict(d: dict) -> tuple[Prior, GenerativeModel | None]:
     if not isinstance(d, dict):
         raise OutOfRange(f"a prior must be a JSON object, got {d!r}")
     if d.get("kind") == "conditionals":
-        return prior_from_conditionals(float(d["q11"]), float(d["q10"])), None
+        return prior_from_conditionals(_number(d["q11"], "q11"), _number(d["q10"], "q10")), None
     model = model_from_dict(d)
     return prior_from_model(model), model

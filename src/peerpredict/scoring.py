@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DegenerateMatrix, InfeasibleTangents, NotStrict, OutOfRange
-from .prior import Prior
+from .prior import Prior, _number
 
 NORMALIZE_SNAP_TOL = 1e-12
 
@@ -76,8 +76,7 @@ class PayoffMatrix:
     def from_dict(cls, d: dict) -> "PayoffMatrix":
         if not isinstance(d, dict):
             raise OutOfRange(f"a payoff matrix must be a JSON object, got {d!r}")
-        return cls(h11=float(d["h11"]), h10=float(d["h10"]),
-                   h01=float(d["h01"]), h00=float(d["h00"]))
+        return cls(**{key: _number(d[key], key) for key in ("h11", "h10", "h01", "h00")})
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,35 @@ def _response_matrix(prior: Prior) -> np.ndarray:
     return np.array([[prior.q00, prior.q01], [prior.q10, prior.q11]])
 
 
-def _mean_payment(pf: PayoffMatrix, z, own: int):
-    return z * pf.payment(1, own) + (1.0 - z) * pf.payment(0, own)
+def _rates(profile) -> np.ndarray:
+    """A profile as a float array of report-1 rates, each in [0, 1]."""
+    rates = np.asarray(profile, dtype=float)
+    if not np.all((rates >= 0.0) & (rates <= 1.0)):  # NaN fails both comparisons
+        raise OutOfRange(f"report-1 rates must lie in [0, 1], got {profile!r}")
+    return rates
+
+
+def _peer_rates(prior: Prior, profile: Sequence[tuple[float, float]]):
+    """The profile as an (n, 2) array and, per agent, the other n - 1 agents'
+    mean report-1 rate given signal 0 and given signal 1."""
+    strategies = _rates(profile)
+    if strategies.ndim != 2 or strategies.shape[1] != 2 or len(strategies) < 2:
+        raise OutOfRange(f"a profile needs at least 2 (t0, t1) strategies, got {profile!r}")
+    pts = strategies @ _response_matrix(prior)
+    return strategies, (pts.sum(0) - pts) / (len(pts) - 1)
+
+
+def _gain(prior: Prior, pf: PayoffMatrix, z0, z1, t0, t1):
+    """Gain of the best pure report per signal over the strategy (t0, t1),
+    and those reports (True for 1), against peers who report 1 at rate z0
+    given signal 0 and z1 given signal 1.  Broadcasts over every argument."""
+    gain, best = 0.0, []
+    for weight, z, t in ((prior.q0, z0, t0), (prior.q1, z1, t1)):
+        v0 = z * pf.payment(1, 0) + (1.0 - z) * pf.payment(0, 0)
+        v1 = z * pf.payment(1, 1) + (1.0 - z) * pf.payment(0, 1)
+        gain = gain + weight * (np.maximum(v0, v1) - ((1.0 - t) * v0 + t * v1))
+        best.append(v1 >= v0)
+    return gain, best[0], best[1]
 
 
 def deviation_gain(prior: Prior, pf: PayoffMatrix, profile: Sequence[tuple[float, float]],
@@ -37,12 +64,9 @@ def deviation_gain(prior: Prior, pf: PayoffMatrix, profile: Sequence[tuple[float
     deviation.  Exact: the expected payment is affine in the peer-averaged
     report distribution, so pure responses per signal suffice.
     """
-    n = len(profile)
-    if not 0 <= i < n:
-        raise OutOfRange(f"agent index {i} outside profile of size {n}")
-    others = [profile[j] for j in range(n) if j != i]
-    M = _response_matrix(prior)
-    zbar = np.mean([np.array(s) @ M for s in others], axis=0)  # (z given 0, z given 1)
+    strategies, z = _peer_rates(prior, profile)
+    if not 0 <= i < len(strategies):
+        raise OutOfRange(f"agent index {i} outside profile of size {len(strategies)}")
 
     if punishment and model is None:
         raise OutOfRange("punishment-aware gains need the generative model")
@@ -50,18 +74,8 @@ def deviation_gain(prior: Prior, pf: PayoffMatrix, profile: Sequence[tuple[float
     # payoff of agent i by the same constant: the best response is unchanged
     # (order survives a common subtraction) and the shift cancels in the gain
 
-    t0, t1 = profile[i]
-    best = []
-    u_cur = 0.0
-    u_best = 0.0
-    for weight, z, t in ((prior.q0, zbar[0], t0), (prior.q1, zbar[1], t1)):
-        v0 = _mean_payment(pf, z, 0)
-        v1 = _mean_payment(pf, z, 1)
-        r = 1.0 if v1 >= v0 else 0.0
-        best.append(r)
-        u_cur += weight * ((1.0 - t) * v0 + t * v1)
-        u_best += weight * max(v0, v1)
-    return u_best - u_cur, (best[0], best[1])
+    gain, best0, best1 = _gain(prior, pf, z[i, 0], z[i, 1], strategies[i, 0], strategies[i, 1])
+    return float(gain), (float(best0), float(best1))
 
 
 @dataclass(frozen=True)
@@ -79,10 +93,12 @@ class DeviationReport:
 
 def deviation_report(prior: Prior, pf: PayoffMatrix,
                      profile: Sequence[tuple[float, float]]) -> DeviationReport:
-    """deviation_gain for every agent of a profile at once."""
-    results = [deviation_gain(prior, pf, profile, i) for i in range(len(profile))]
-    return DeviationReport(gains=tuple(r[0] for r in results),
-                           best_responses=tuple(r[1] for r in results))
+    """deviation_gain for every agent of a profile at once, in O(n)."""
+    strategies, z = _peer_rates(prior, profile)
+    gain, best0, best1 = _gain(prior, pf, z[:, 0], z[:, 1], strategies[:, 0], strategies[:, 1])
+    return DeviationReport(gains=tuple(gain.tolist()),
+                           best_responses=tuple(zip(best0.astype(float).tolist(),
+                                                    best1.astype(float).tolist())))
 
 
 def deviation_gain_product(priors: Sequence[Prior], matrices: Sequence[PayoffMatrix],
@@ -99,15 +115,10 @@ def symmetric_gain_grid(prior: Prior, pf: PayoffMatrix, resolution: int):
     """Deviation gain of every symmetric profile on a resolution^2 strategy
     grid (independent of n: the peer average equals the shared strategy)."""
     ts = np.linspace(0.0, 1.0, resolution)
-    t0, t1 = np.meshgrid(ts, ts, indexing="ij")
+    t0, t1 = ts[:, None], ts[None, :]
     x = t0 * prior.q00 + t1 * prior.q10
     y = t0 * prior.q01 + t1 * prior.q11
-    gain = np.zeros_like(t0)
-    for weight, z, t in ((prior.q0, x, t0), (prior.q1, y, t1)):
-        v0 = _mean_payment(pf, z, 0)
-        v1 = _mean_payment(pf, z, 1)
-        gain += weight * (np.maximum(v0, v1) - ((1.0 - t) * v0 + t * v1))
-    return ts, gain
+    return ts, _gain(prior, pf, x, y, t0, t1)[0]
 
 
 @dataclass(frozen=True)
@@ -128,29 +139,29 @@ def grid_scan(prior: Prior, pf: PayoffMatrix, resolution: int,
     mask = gain < gain_tolerance
     seen = np.zeros_like(mask, dtype=bool)
     clusters = []
-    for i0 in range(resolution):
-        for j0 in range(resolution):
-            if not mask[i0, j0] or seen[i0, j0]:
-                continue
-            stack = [(i0, j0)]
-            seen[i0, j0] = True
-            members = []
-            while stack:
-                a, b = stack.pop()
-                members.append((a, b))
-                for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    na, nb = a + da, b + db
-                    if 0 <= na < resolution and 0 <= nb < resolution \
-                            and mask[na, nb] and not seen[na, nb]:
-                        seen[na, nb] = True
-                        stack.append((na, nb))
-            pts = np.array([(ts[a], ts[b]) for a, b in members])
-            gains = np.array([gain[a, b] for a, b in members])
-            diameter = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
-            clusters.append(Cluster(
-                center=(float(pts[:, 0].mean()), float(pts[:, 1].mean())),
-                diameter=diameter, size=len(members), min_gain=float(gains.min()),
-            ))
+    for i0, j0 in np.argwhere(mask):  # row-major seeds order clusters by their first cell
+        if seen[i0, j0]:
+            continue
+        stack = [(i0, j0)]
+        seen[i0, j0] = True
+        members = []
+        while stack:
+            a, b = stack.pop()
+            members.append((a, b))
+            for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                na, nb = a + da, b + db
+                if 0 <= na < resolution and 0 <= nb < resolution \
+                        and mask[na, nb] and not seen[na, nb]:
+                    seen[na, nb] = True
+                    stack.append((na, nb))
+        cells = np.array(members)
+        pts = ts[cells]
+        diameter = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
+        clusters.append(Cluster(
+            center=(float(pts[:, 0].mean()), float(pts[:, 1].mean())),
+            diameter=diameter, size=len(members),
+            min_gain=float(gain[cells[:, 0], cells[:, 1]].min()),
+        ))
     return clusters
 
 
@@ -159,55 +170,37 @@ def product_scan(prior: Prior, pf: PayoffMatrix, n: int, resolution: int,
     """Exhaustive per-agent product-grid scan for (near-)equilibria with
     possibly unequal strategies; n <= 3 and resolution <= 21 keep the
     combinatorics manageable.  Returns sorted strategy multisets."""
-    if n not in (2, 3) or resolution > 21:
-        raise OutOfRange("product scans support n in {2,3} and resolution <= 21")
+    if n not in (2, 3) or not 2 <= resolution <= 21:
+        raise OutOfRange("product scans support n in {2,3} and resolution in [2, 21]")
     ts = np.linspace(0.0, 1.0, resolution)
     strategies = np.array([(a, b) for a in ts for b in ts])
     m = len(strategies)
     pts = strategies @ _response_matrix(prior)
 
-    def gains_against(zbar: np.ndarray) -> np.ndarray:
-        # zbar: (k, 2) peer averages; returns (m, k) gain of every own strategy
-        out = np.zeros((m, zbar.shape[0]))
-        for weight, col, t in ((prior.q0, 0, strategies[:, 0:1]),
-                               (prior.q1, 1, strategies[:, 1:2])):
-            v0 = _mean_payment(pf, zbar[:, col], 0)[None, :]
-            v1 = _mean_payment(pf, zbar[:, col], 1)[None, :]
-            out += weight * (np.maximum(v0, v1) - ((1.0 - t) * v0 + t * v1))
-        return out
+    def best_responds(z: np.ndarray) -> np.ndarray:
+        # z: (k, 2) peer rates; ok[a, j]: own strategy a best-responds to z[j]
+        gain = _gain(prior, pf, z[None, :, 0], z[None, :, 1],
+                     strategies[:, 0:1], strategies[:, 1:2])[0]
+        return gain < gain_tolerance
 
     if n == 2:
-        ok = gains_against(pts) < gain_tolerance  # ok[a, b]: a best-responds to b
-        hits = [(a, b) for a in range(m) for b in range(a, m) if ok[a, b] and ok[b, a]]
+        ok = best_responds(pts)  # ok[a, b]: a best-responds to b
+        hits = zip(*np.nonzero(np.triu(ok & ok.T)))
         return [tuple(sorted((tuple(strategies[a]), tuple(strategies[b])))) for a, b in hits]
 
-    pair_index = {}
-    pair_avg = []
-    for b in range(m):
-        for c in range(b, m):
-            pair_index[(b, c)] = len(pair_avg)
-            pair_avg.append((pts[b] + pts[c]) / 2.0)
-    pair_avg = np.array(pair_avg)
+    # peer pairs b <= c, one column each, in the row-major order of triu_indices
+    first, second = np.triu_indices(m)
+    ok = best_responds((pts[first] + pts[second]) / 2.0)
+    # own strategy a <= peer pair (b, c) lists each sorted trio once, in order
+    a, col = np.nonzero(ok & (np.arange(m)[:, None] <= first))
+    b, c = first[col], second[col]
 
-    ok = np.zeros((m, len(pair_avg)), dtype=bool)
-    chunk = 200_000
-    for start in range(0, len(pair_avg), chunk):
-        ok[:, start:start + chunk] = gains_against(pair_avg[start:start + chunk]) < gain_tolerance
+    def column(b, c):
+        return b * (2 * m - b - 1) // 2 + c
 
-    pairs = list(pair_index)
-    profiles = set()
-    a_idx, col_idx = np.nonzero(ok)
-    for a, col in zip(a_idx, col_idx):
-        b, c = pairs[col]
-        trio = tuple(sorted((a, b, c)))
-        if trio in profiles:
-            continue
-        ta, tb, tc = trio
-        if ok[ta, pair_index[(min(tb, tc), max(tb, tc))]] \
-                and ok[tb, pair_index[(min(ta, tc), max(ta, tc))]] \
-                and ok[tc, pair_index[(min(ta, tb), max(ta, tb))]]:
-            profiles.add(trio)
-    return [tuple(tuple(strategies[k]) for k in trio) for trio in sorted(profiles)]
+    keep = ok[b, column(a, c)] & ok[c, column(a, b)]
+    return [tuple(tuple(strategies[k]) for k in trio)
+            for trio in zip(a[keep], b[keep], c[keep])]
 
 
 @dataclass(frozen=True)
@@ -280,7 +273,7 @@ def monte_carlo(model, spec: MechanismSpec, profile, trials: int, seed: int) -> 
     n, d = spec.n_agents, spec.dimensions
     model_list = list(model) if isinstance(model, (list, tuple)) else [model] * d
 
-    prof = np.asarray(profile, dtype=float)
+    prof = _rates(profile)
     if prof.shape == (n, 2):
         prof = prof[:, None, :]
     if prof.shape != (n, d, 2):

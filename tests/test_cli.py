@@ -79,9 +79,11 @@ class TestGapVerb:
         assert "DegenerateMatrix" in p.stderr
 
     def test_matrix_not_an_object(self):
-        p = run_cli("gap", "--prior", UNIFORM_PRIOR, "--matrix", '"x"')
-        assert p.returncode == 1
-        assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
+        for matrix in ('"x"', '{"h11":null,"h10":0.0,"h01":0.0,"h00":1.0}',
+                       '{"h11":0.7,"h10":[0],"h01":0.0,"h00":1.0}'):
+            p = run_cli("gap", "--prior", UNIFORM_PRIOR, "--matrix", matrix)
+            assert p.returncode == 1
+            assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
 
     def test_non_finite_json_literal(self):
         for literal in ("NaN", "Infinity", "-Infinity"):
@@ -122,11 +124,20 @@ class TestSimulateVerb:
 
     def test_malformed_spec_json(self):
         spec = json.loads(self.SPEC)
-        for bad in ([1], dict(spec, matrix=[1]), dict(spec, dim_matrices=3)):
+        for bad in ([1], dict(spec, matrix=[1]), dict(spec, dim_matrices=3),
+                    dict(spec, n_agents=None), dict(spec, punishment=[0.5])):
             p = run_cli("simulate", "--spec", json.dumps(bad), "--profile", self.PROFILE,
                         "--trials", "100")
             assert p.returncode == 1
             assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
+
+    def test_profile_rates_outside_unit_interval(self):
+        spec = json.loads(self.SPEC)
+        spec["n_agents"] = 3
+        p = run_cli("simulate", "--spec", json.dumps(spec),
+                    "--profile", "[[2,3],[0,1],[-1,1]]", "--trials", "100")
+        assert p.returncode == 1
+        assert "OutOfRange" in p.stderr and p.stdout == ""
 
     def test_punished_multidim_spec_rejected(self):
         spec = json.loads(self.SPEC)
@@ -179,7 +190,11 @@ class TestOtherVerbs:
 
     def test_malformed_prior_json(self):
         for prior in ("[1]", '{"kind":"discrete","points":3,"weights":[1],"n":4}',
-                      '{"kind":"discrete","points":[0.5],"weights":3,"n":4}'):
+                      '{"kind":"discrete","points":[0.5],"weights":3,"n":4}',
+                      '{"kind":"discrete","points":[null,0.8],"weights":[1,1],"n":4}',
+                      '{"kind":"uniform","a":null,"b":0.8,"n":4}',
+                      '{"kind":"uniform","a":0.4,"b":0.8,"n":[4]}',
+                      '{"kind":"conditionals","q11":[1],"q10":0.3}'):
             p = run_cli("analyze", "--prior", prior)
             assert p.returncode == 1
             assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
@@ -187,6 +202,11 @@ class TestOtherVerbs:
         p = run_cli("analyze", "--prior", prior)
         assert p.returncode == 2
         assert "invalid input" in p.stderr and "Traceback" not in p.stderr
+
+    def test_min_agents_malformed_model(self):
+        p = run_cli("min-agents", "--model", '{"kind":"uniform","a":0.4,"b":0.8,"n":null}')
+        assert p.returncode == 1
+        assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
 
     def test_flag_error_exit_code(self):
         p = run_cli("equilibria")  # missing --prior

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from peerpredict import (BRIER, GenerativeModel, LineSet, MechanismSpec, PayoffMatrix,
-                         SymmetricStrategy, deviation_gain, deviation_gain_product,
-                         equilibrium_set, expected_payoff, grid_scan,
-                         lineset_to_matrix, matrix_from_rule, monte_carlo,
+from peerpredict import (BRIER, GenerativeModel, LineSet, MechanismSpec, OutOfRange,
+                         PayoffMatrix, SymmetricStrategy, deviation_gain,
+                         deviation_gain_product, deviation_report, equilibrium_set,
+                         expected_payoff, grid_scan, lineset_to_matrix,
+                         matrix_from_rule, monte_carlo,
                          prior_from_conditionals, prior_from_model, product_scan,
                          response_point)
 
@@ -36,16 +39,23 @@ class TestDeviationGain:
 
     def test_matches_symmetric_payoff_difference(self):
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            s = (rng.uniform(), rng.uniform())
-            profile = [s] * 5
+        for trial in range(200):
+            # symmetric profiles first, then heterogeneous ones
+            if trial < 100:
+                profile = [(rng.uniform(), rng.uniform())] * 5
+            else:
+                profile = [(rng.uniform(), rng.uniform()) for _ in range(5)]
+            s = profile[2]
             g, best = deviation_gain(RESTAURANT, BRIER_MATRIX, profile, 2)
-            # replaying the best deviation against the same opponents
-            # reproduces the claimed gain
-            others = response_point(RESTAURANT, SymmetricStrategy(*s))
+            # replaying the best deviation against the mean response point of
+            # the other agents reproduces the claimed gain
+            points = [response_point(RESTAURANT, SymmetricStrategy(*profile[j]))
+                      for j in range(5) if j != 2]
+            ox = sum(p.x for p in points) / 4
+            oy = sum(p.y for p in points) / 4
             def value(strategy):
-                u0 = (1 - strategy[0]) * _m(others.x, 0) + strategy[0] * _m(others.x, 1)
-                u1 = (1 - strategy[1]) * _m(others.y, 0) + strategy[1] * _m(others.y, 1)
+                u0 = (1 - strategy[0]) * _m(ox, 0) + strategy[0] * _m(ox, 1)
+                u1 = (1 - strategy[1]) * _m(oy, 0) + strategy[1] * _m(oy, 1)
                 return RESTAURANT.q0 * u0 + RESTAURANT.q1 * u1
             def _m(z, r):
                 return z * BRIER_MATRIX.payment(1, r) + (1 - z) * BRIER_MATRIX.payment(0, r)
@@ -62,6 +72,15 @@ class TestDeviationGain:
                                                 punishment=0.8, model=model)
             assert plain == punished
             assert best_plain == best_pun
+
+    def test_rejects_unscorable_profiles(self):
+        for profile in ([(0.0, 1.0)], [], [(0.0, 1.0), (5.0, -3.0)],
+                        [(0.0, 1.0), (float("nan"), 0.5)], [(0.0, 1.0), (0.2, np.inf)],
+                        [0.5, 0.5], [(0.0, 1.0, 0.5)] * 3):
+            with pytest.raises(OutOfRange):
+                deviation_gain(RESTAURANT, BRIER_MATRIX, profile, 0)
+            with pytest.raises(OutOfRange):
+                deviation_report(RESTAURANT, BRIER_MATRIX, profile)
 
 
 class TestGridScan:
@@ -136,17 +155,42 @@ class TestProductScan:
                   ((0.0, 1.0), (0.0, 1.0))):
             assert s in flat
 
+    def test_n3_matches_brute_force(self):
+        # every sorted trio of grid strategies, in order, kept when each agent
+        # best-responds to the mean response point of the other two
+        ts = np.linspace(0.0, 1.0, 4)
+        grid = [(a, b) for a in ts for b in ts]
+        for matrix, tol in ((BRIER_MATRIX, 1e-9), (BRIER_MATRIX, 0.02),
+                            (PayoffMatrix(0.9, 0.2, 0.4, 0.6), 0.05)):
+            expect = []
+            for trio in itertools.combinations_with_replacement(range(len(grid)), 3):
+                profile = [grid[k] for k in trio]
+                if all(deviation_gain(RESTAURANT, matrix, profile, i)[0] < tol
+                       for i in range(3)):
+                    expect.append(tuple(profile))
+            got = product_scan(RESTAURANT, matrix, n=3, resolution=4, gain_tolerance=tol)
+            if tol > 1e-9:  # the loose tolerances admit asymmetric trios
+                assert any(len(set(p)) > 1 for p in expect)
+            assert [tuple(map(tuple, p)) for p in got] == expect
+
+    def test_rejects_unsupported_sizes(self):
+        for n, resolution in ((2, 0), (2, 1), (3, 1), (4, 5), (3, 22)):
+            with pytest.raises(OutOfRange):
+                product_scan(RESTAURANT, BRIER_MATRIX, n=n, resolution=resolution)
+
 
 class TestDeviationReport:
     def test_aggregates_all_agents(self):
-        from peerpredict import deviation_report
-        profile = [(0.0, 1.0), (0.0, 1.0), (0.9, 0.9)]
-        rep = deviation_report(RESTAURANT, BRIER_MATRIX, profile)
-        assert len(rep.gains) == 3
-        for i in range(3):
-            g, best = deviation_gain(RESTAURANT, BRIER_MATRIX, profile, i)
-            assert rep.gains[i] == g and rep.best_responses[i] == best
-        assert rep.max_gain == max(rep.gains)
+        rng = np.random.default_rng(41)
+        profiles = [[(0.0, 1.0), (0.0, 1.0), (0.9, 0.9)]]
+        profiles += [[tuple(s) for s in rng.uniform(size=(n, 2))] for n in (2, 3, 17, 1000)]
+        for profile in profiles:
+            rep = deviation_report(RESTAURANT, BRIER_MATRIX, profile)
+            assert len(rep.gains) == len(profile)
+            for i in range(len(profile)):
+                g, best = deviation_gain(RESTAURANT, BRIER_MATRIX, profile, i)
+                assert rep.gains[i] == g and rep.best_responses[i] == best
+            assert rep.max_gain == max(rep.gains)
 
 
 class TestDeviationGainProduct:
@@ -223,6 +267,14 @@ class TestMonteCarlo:
                              trials=10 ** 5, seed=trial)
             for mean, se in zip(mc.means, mc.stderrs):
                 assert abs(mean - e.payoff) < 4 * max(se, 1e-12), (e.label, trial)
+
+    def test_rejects_rates_outside_unit_interval(self):
+        model = GenerativeModel.uniform(0.4, 0.8, 3)
+        spec = MechanismSpec(matrix=BRIER_MATRIX, n_agents=3)
+        for profile in ([(2.0, 3.0), (0.0, 1.0), (-1.0, 1.0)],
+                        [(0.0, 1.0), (0.0, float("nan")), (0.0, 1.0)]):
+            with pytest.raises(OutOfRange):
+                monte_carlo(model, spec, profile, trials=100, seed=0)
 
     def test_multidim_profile_shape(self):
         model = GenerativeModel.uniform(0.4, 0.8, 3)
