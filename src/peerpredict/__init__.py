@@ -20,8 +20,25 @@ from .prior import (GenerativeModel, Prior, epsilon_q, model_from_dict,
 from .scoring import (BRIER, LineSet, PayoffMatrix, ScoringRule, break_even, brier,
                       convex_generator, lineset_from_k_qstar, lineset_to_matrix,
                       matrix_from_rule, normalize, shifted_brier)
-from .verify import (Cluster, DeviationReport, MonteCarloResult, deviation_gain,
-                     deviation_gain_product, deviation_report, grid_scan, monte_carlo,
-                     product_scan, symmetric_gain_grid)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The oracles import numpy, so they load on first use (PEP 562) and the
+# analytic path stays numpy-free.
+_VERIFY_NAMES = ("Cluster", "DeviationReport", "MonteCarloResult", "deviation_gain",
+                 "deviation_gain_product", "deviation_report", "grid_scan", "monte_carlo",
+                 "product_scan", "symmetric_gain_grid")
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")}
+                 | {"verify", *_VERIFY_NAMES})
+
+
+def __getattr__(name):
+    if name == "verify" or name in _VERIFY_NAMES:
+        import importlib
+
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -17,7 +17,6 @@ from .mechanism import MechanismSpec, min_agents_focal
 from .optimizer import gap, optimal_mechanism
 from .prior import epsilon_q, model_from_dict, prior_from_dict, prior_from_model
 from .scoring import BRIER, PayoffMatrix, matrix_from_rule
-from .verify import grid_scan, monte_carlo
 
 
 def _fmt(value):
@@ -102,6 +101,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .verify import monte_carlo  # numpy loads only for the array verbs
+
     spec = MechanismSpec.from_dict(_json_arg(args.spec))
     profile = _json_arg(args.profile)
     if spec.model is None:
@@ -112,6 +113,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import grid_scan
+
     prior, _ = _load_prior(args.prior)
     matrix = PayoffMatrix.from_dict(_json_arg(args.matrix))
     eqs = equilibrium_set(prior, matrix)

@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .equilibria import equilibrium_set
 from .errors import IndexOutOfRange, NeverFocal, OutOfRange
 from .prior import GenerativeModel, _number, epsilon_q, model_from_dict, prior_from_model
@@ -84,6 +82,8 @@ class PaymentRound:
     bits: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        import numpy as np
+
         try:
             bits = np.array(self.reports).reshape(len(self.reports), -1)
         except ValueError:  # ragged or empty
@@ -102,12 +102,14 @@ class PaymentRound:
                    seed=seed, round_id=round_id)
 
 
-def _pay(spec: MechanismSpec, rnd: PaymentRound, i: int, round_ids, punish: bool) -> np.ndarray:
-    """Agent i's payment in each listed round: h_k[peer report, own report] on a
+def _pay(spec: MechanismSpec, rnd: PaymentRound, i: int, round_ids, punish: bool):
+    """Array of agent i's payments in the listed rounds: h_k[peer report, own report] on a
     uniformly drawn dimension k against a uniformly drawn peer, minus the
     punishment when `punish` is set and all others reported alike.  The draws
     are the first raw words of the Philox stream keyed by the seed at counter
     (0, 0, round id, agent); word 0 picks k when d > 1, the last word the peer."""
+    import numpy as np
+
     n, d, bits = spec.n_agents, spec.dimensions, rnd.bits
     if not 0 <= i < n or len(bits) != n or len(bits[0]) != d:
         raise IndexOutOfRange(f"agent {i} / {len(bits)} reports of width {len(bits[0])} "
@@ -150,8 +152,8 @@ def ppm_pay(spec: MechanismSpec, rnd: PaymentRound, i: int) -> float:
 multidim_pay = ppm_pay
 
 
-def ppm_pay_rounds(spec: MechanismSpec, reports, i: int, seed: int, round_ids) -> np.ndarray:
-    """ppm_pay over many round ids with fixed reports, as one array."""
+def ppm_pay_rounds(spec: MechanismSpec, reports, i: int, seed: int, round_ids):
+    """ppm_pay over many round ids with fixed reports, as one numpy array."""
     return _pay(spec, PaymentRound(reports=tuple(reports), seed=seed), i, round_ids, punish=False)
 
 
@@ -213,7 +215,10 @@ def all_same_report_probability(model: GenerativeModel,
 
     Evaluated by Gauss-Legendre quadrature against the mixing density; the
     integrand stays in [0,1], and the node count makes the rule exact for the
-    uniform kind (monomial expansions cancel catastrophically here)."""
+    uniform kind (monomial expansions cancel catastrophically here).  Imports
+    numpy on first call, so the scalar analytic path does not load it."""
+    import numpy as np
+
     m = len(strategies)
     if model.kind == "discrete":
         ps = np.asarray(model.points)

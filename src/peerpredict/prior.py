@@ -177,10 +177,10 @@ def epsilon_q(model: GenerativeModel) -> float:
 
 
 def _number(value, name: str, cast=float):
-    """cast(value) for a JSON number or numeric string.  A null, list or
-    object raises OutOfRange naming the field; a non-numeric string still
+    """cast(value) for a JSON number or numeric string.  A null, boolean, list
+    or object raises OutOfRange naming the field; a non-numeric string still
     raises ValueError."""
-    if not isinstance(value, (int, float, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise OutOfRange(f"{name} must be a number, got {value!r}")
     return cast(value)
 

@@ -104,8 +104,9 @@ class LineSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LineSet":
-        return cls(alpha=float(d["alpha"]), beta=float(d["beta"]),
-                   qstar=float(d["qstar"]), gamma=float(d["gamma"]))
+        if not isinstance(d, dict):
+            raise OutOfRange(f"a line set must be a JSON object, got {d!r}")
+        return cls(**{key: _number(d[key], key) for key in ("alpha", "beta", "qstar", "gamma")})
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,8 @@ class TestGapVerb:
 
     def test_matrix_not_an_object(self):
         for matrix in ('"x"', '{"h11":null,"h10":0.0,"h01":0.0,"h00":1.0}',
-                       '{"h11":0.7,"h10":[0],"h01":0.0,"h00":1.0}'):
+                       '{"h11":0.7,"h10":[0],"h01":0.0,"h00":1.0}',
+                       '{"h11":true,"h10":false,"h01":0,"h00":1}'):
             p = run_cli("gap", "--prior", UNIFORM_PRIOR, "--matrix", matrix)
             assert p.returncode == 1
             assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
@@ -194,7 +195,8 @@ class TestOtherVerbs:
                       '{"kind":"discrete","points":[null,0.8],"weights":[1,1],"n":4}',
                       '{"kind":"uniform","a":null,"b":0.8,"n":4}',
                       '{"kind":"uniform","a":0.4,"b":0.8,"n":[4]}',
-                      '{"kind":"conditionals","q11":[1],"q10":0.3}'):
+                      '{"kind":"conditionals","q11":[1],"q10":0.3}',
+                      '{"kind":"conditionals","q11":true,"q10":0.3}'):
             p = run_cli("analyze", "--prior", prior)
             assert p.returncode == 1
             assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr

@@ -137,6 +137,16 @@ class TestMatrices:
         with pytest.raises(OutOfRange):
             PayoffMatrix(1.0, 0.0, bad, 0.7)
 
+    def test_lineset_from_dict(self):
+        ls = LineSet(alpha=1.0, beta=-1.0, qstar=0.5, gamma=0.0)
+        assert LineSet.from_dict(ls.to_dict()) == ls
+        good = {"alpha": 2, "beta": 1, "qstar": 0.5, "gamma": 0}
+        for key, bad in (("alpha", None), ("beta", [1]), ("qstar", True), ("gamma", {})):
+            with pytest.raises(OutOfRange, match=key):
+                LineSet.from_dict({**good, key: bad})
+        with pytest.raises(OutOfRange):
+            LineSet.from_dict([2, 1, 0.5, 0])
+
 
 class TestNormalize:
     def test_forced_example(self):
