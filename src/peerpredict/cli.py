@@ -32,13 +32,16 @@ def _fmt(value):
     return value
 
 
-def _emit(obj, path: str | None):
-    text = json.dumps(_fmt(obj), indent=2, sort_keys=True) + "\n"
+def _write(text: str, path: str | None):
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj, path: str | None):
+    _write(json.dumps(_fmt(obj), indent=2, sort_keys=True) + "\n", path)
 
 
 def _reject_constant(name: str):
@@ -96,7 +99,7 @@ def cmd_design(args) -> int:
 def cmd_gap(args) -> int:
     prior, _ = _load_prior(args.prior)
     matrix = PayoffMatrix.from_dict(_json_arg(args.matrix))
-    sys.stdout.write(f"{gap(prior, matrix):.12g}\n")
+    _write(f"{gap(prior, matrix):.12g}\n", args.output)
     return 0
 
 
@@ -149,12 +152,7 @@ def cmd_plot(args) -> int:
     rows = plot_data(prior, matrix.lineset(), args.resolution)
     lines = ["x,y,quadrant,payoff"]
     lines += [f"{x:.6f},{y:.6f},{quad},{pay:.6f}" for x, y, quad, pay in rows]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -162,7 +160,7 @@ def cmd_min_agents(args) -> int:
     model = model_from_dict(_json_arg(args.model))
     report = optimal_mechanism(prior_from_model(model))
     n = min_agents_focal(model, report.truth_payoff, report.delta_star)
-    sys.stdout.write(f"{n}\n")
+    _write(f"{n}\n", args.output)
     return 0
 
 

@@ -5,6 +5,7 @@ arithmetic tying the punishment level to the agent count.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -211,36 +212,51 @@ def all_same_report_probability(model: GenerativeModel,
                                 strategies: Sequence[tuple[float, float]]) -> float:
     """Probability that every listed agent reports the same bit, under
     conditionally i.i.d. signals: E[prod r_j(p)] + E[prod (1 - r_j(p))] with
-    r_j(p) = t0_j + (t1_j - t0_j) p.
+    r_j(p) = (1 - p) t0_j + p t1_j, exact as a sum of nonnegative terms."""
+    groups = Counter(map(tuple, strategies))
+    if not all(0.0 <= t <= 1.0 for s in groups for t in s):
+        raise OutOfRange(f"report rates must lie in [0,1], got {list(groups)!r}")
+    return sum(_all_ones(model, [(abs(f - t0), abs(f - t1), c) for (t0, t1), c in groups.items()])
+               for f in (0.0, 1.0))  # f = 1 turns each rate into its report-0 rate
 
-    Evaluated by Gauss-Legendre quadrature against the mixing density; the
-    integrand stays in [0,1], and the node count makes the rule exact for the
-    uniform kind (monomial expansions cancel catastrophically here).  Imports
-    numpy on first call, so the scalar analytic path does not load it."""
-    import numpy as np
 
-    m = len(strategies)
+def _all_ones(model: GenerativeModel, groups: list) -> float:
+    """E[prod r(p)^c] over (t0, t1, c) groups.  Constant groups factor out exactly.
+    Otherwise p = lo + (hi - lo) u with u ~ Beta(a, b) (Beta(1, 1) for the uniform
+    kind), so with x = r(lo), y = r(hi) a group is sum_k x^(c-k) y^k C(c,k) u^k (1-u)^(c-k);
+    the groups multiply into one such Bernstein form, whose mean takes the BetaBinomial pmf."""
+    const = math.prod(t0 ** c for t0, t1, c in groups if t0 == t1)
+    groups = [g for g in groups if g[0] != g[1]]
+    if not (const and groups):
+        return const
     if model.kind == "discrete":
-        ps = np.asarray(model.points)
-        ws = np.asarray(model.weights)
-    else:
-        nodes, gl_weights = np.polynomial.legendre.leggauss(max(96, m + 1))
-        if model.kind == "uniform":
-            ps = 0.5 * (model.b - model.a) * (nodes + 1.0) + model.a
-            ws = gl_weights / 2.0  # density 1/(b-a) times interval half-width
-        else:
-            ps = 0.5 * (nodes + 1.0)
-            norm = math.exp(math.lgamma(model.a + model.b)
-                            - math.lgamma(model.a) - math.lgamma(model.b))
-            dens = norm * ps ** (model.a - 1.0) * (1.0 - ps) ** (model.b - 1.0)
-            ws = gl_weights / 2.0 * dens
-    ones = np.ones_like(ps)
-    zeros = np.ones_like(ps)
-    for t0, t1 in strategies:
-        r = t0 + (t1 - t0) * ps
-        ones *= r
-        zeros *= 1.0 - r
-    return float(np.sum(ws * (ones + zeros)))
+        return const * sum(w * math.prod(((1.0 - p) * t0 + p * t1) ** c for t0, t1, c in groups)
+                           for w, p in zip(model.weights, model.points))
+    uniform = model.kind == "uniform"
+    lo, hi, a, b = (model.a, model.b, 1.0, 1.0) if uniform else (0.0, 1.0, model.a, model.b)
+    coef = []
+    for t0, t1, c in groups:
+        x, y = (1.0 - lo) * t0 + lo * t1, (1.0 - hi) * t0 + hi * t1
+        g = [x ** (c - k) * y ** k for k in range(c + 1)]
+        m = len(coef) - 1  # product of the forms of degrees m and c
+        coef = g if not coef else [
+            sum(coef[i] * g[k - i] * (math.comb(m, i) * math.comb(c, k - i) / math.comb(m + c, k))
+                for i in range(max(0, k - c), min(m, k) + 1)) for k in range(m + c + 1)]
+    # The pmf steps inward from both ends, P_{a,b}(k) = P_{b,a}(c - k), starting from the
+    # closed form E[(1-u)^c]: GenerativeModel.moment's lgamma expression, or 1/(c+1) for the
+    # uniform u.  A running log scale keeps the stepped pmf clear of overflow and underflow.
+    c, total = len(coef) - 1, 0.0
+    for s, t, d, steps in ((a, b, coef, c // 2), (b, a, coef[::-1], c - 1 - c // 2)):
+        scale = -math.log1p(c) if uniform else (
+            math.lgamma(t + c) - math.lgamma(t) + math.lgamma(s + t) - math.lgamma(s + t + c))
+        v, acc = 1.0, d[0]
+        for k in range(steps):
+            v *= (c - k) * (s + k) / ((k + 1) * (t + c - k - 1))
+            acc += v * d[k + 1]
+            if v > 1e280:
+                scale, acc, v = scale + math.log(v), acc / v, 1.0
+        total += math.exp(scale + math.log(acc)) if acc > 0.0 else 0.0
+    return const * total
 
 
 def mppm_equilibrium_payoffs(spec: MechanismSpec) -> dict:

@@ -91,12 +91,19 @@ class GenerativeModel:
     def __post_init__(self):
         if self.n_agents < 1:
             raise OutOfRange(f"n_agents must be positive, got {self.n_agents}")
+        if not all(map(math.isfinite, (self.a, self.b, *self.points, *self.weights,
+                                       sum(self.weights)))):
+            raise OutOfRange(f"model parameters and weight total must be finite, got {self!r}")
         if self.kind == "uniform":
             if not (0.0 <= self.a < self.b <= 1.0):
                 raise OutOfRange(f"uniform interval needs 0 <= a < b <= 1, got [{self.a}, {self.b}]")
         elif self.kind == "beta":
             if self.a <= 0.0 or self.b <= 0.0:
                 raise OutOfRange(f"beta shapes must be positive, got ({self.a}, {self.b})")
+            try:
+                math.lgamma(self.a + self.b)
+            except OverflowError:
+                raise OutOfRange(f"beta shapes overflow lgamma, got ({self.a}, {self.b})") from None
         elif self.kind == "discrete":
             if len(self.points) == 0 or len(self.points) != len(self.weights):
                 raise OutOfRange("discrete mixture needs matching, non-empty points and weights")

@@ -90,6 +90,8 @@ class LineSet:
     gamma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.qstar, self.gamma))):
+            raise OutOfRange(f"line-set fields must be finite, got {self.to_dict()}")
         if not self.beta < self.alpha:
             raise NotStrict(f"line-set needs beta < alpha, got beta={self.beta}, alpha={self.alpha}")
         if not (0.0 <= self.qstar <= 1.0):
@@ -115,14 +117,13 @@ class ScoringRule:
 
     value0/value1 give the payment at reports 0 and 1; probabilistic reports
     use the affine extension.  generator, when present, is the convex
-    function whose tangents realize the rule (with its derivative), used for
-    full-domain properness checks.
+    function whose tangents realize the rule, used for full-domain properness
+    checks.
     """
 
     value0: Callable[[float], float]
     value1: Callable[[float], float]
     generator: Optional[Callable[[float], float]] = None
-    generator_deriv: Optional[Callable[[float], float]] = None
 
     def score(self, report: float, predicted: float) -> float:
         if not (0.0 <= predicted <= 1.0):
@@ -147,7 +148,6 @@ BRIER = ScoringRule(
     value0=lambda q: 1.0 - 2.0 * q * q,
     value1=lambda q: 4.0 * q - 2.0 * q * q - 1.0,
     generator=lambda q: q * q + (1.0 - q) * (1.0 - q),  # tangents reproduce the rule exactly
-    generator_deriv=lambda q: 4.0 * q - 2.0,
 )
 
 
@@ -269,5 +269,4 @@ def convex_generator(ls: LineSet, prior: Prior) -> ScoringRule:
         value0=lambda q: tangent_at(q, 0.0),
         value1=lambda q: tangent_at(q, 1.0),
         generator=r,
-        generator_deriv=r_prime,
     )

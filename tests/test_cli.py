@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 UNIFORM_PRIOR = '{"kind":"uniform","a":0.4,"b":0.8,"n":10}'
 
 
@@ -167,6 +169,31 @@ class TestPlotVerb:
                         "x=qstar", "y=qstar", "center")
 
 
+MATRIX = '{"h11":0.68,"h10":0.0,"h01":0.0,"h00":1.0}'
+SPEC = json.dumps({"matrix": json.loads(MATRIX), "n_agents": 4, "punishment": 0.2,
+                   "model": {"kind": "uniform", "a": 0.4, "b": 0.8, "n": 4}})
+EVERY_VERB = {
+    "analyze": ["--prior", UNIFORM_PRIOR],
+    "equilibria": ["--prior", UNIFORM_PRIOR, "--rule", "brier"],
+    "design": ["--prior", UNIFORM_PRIOR],
+    "gap": ["--prior", UNIFORM_PRIOR, "--matrix", MATRIX],
+    "simulate": ["--spec", SPEC, "--profile", "[[0,1],[0,1],[0,1],[0,1]]", "--trials", "1000"],
+    "verify": ["--prior", UNIFORM_PRIOR, "--matrix", MATRIX, "--resolution", "21"],
+    "plot": ["--prior", UNIFORM_PRIOR, "--matrix", MATRIX, "--resolution", "5"],
+    "min-agents": ["--model", UNIFORM_PRIOR],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(EVERY_VERB))
+def test_output_flag_writes_stdout_text_to_file(verb, tmp_path):
+    shown = run_cli(verb, *EVERY_VERB[verb])
+    out = tmp_path / "out.txt"
+    written = run_cli(verb, *EVERY_VERB[verb], "--output", str(out))
+    assert shown.returncode == written.returncode == 0
+    assert shown.stdout and written.stdout == ""
+    assert out.read_text() == shown.stdout
+
+
 class TestOtherVerbs:
     def test_analyze(self):
         p = run_cli("analyze", "--prior", UNIFORM_PRIOR)
@@ -196,7 +223,11 @@ class TestOtherVerbs:
                       '{"kind":"uniform","a":null,"b":0.8,"n":4}',
                       '{"kind":"uniform","a":0.4,"b":0.8,"n":[4]}',
                       '{"kind":"conditionals","q11":[1],"q10":0.3}',
-                      '{"kind":"conditionals","q11":true,"q10":0.3}'):
+                      '{"kind":"conditionals","q11":true,"q10":0.3}',
+                      '{"kind":"beta","a":0.5,"b":1e308,"n":4}',
+                      '{"kind":"beta","a":"inf","b":2,"n":4}',
+                      '{"kind":"discrete","points":[0.2,0.8],"weights":[1e308,1e308],"n":4}',
+                      '{"kind":"discrete","points":[0.2,"nan"],"weights":[1,1],"n":4}'):
             p = run_cli("analyze", "--prior", prior)
             assert p.returncode == 1
             assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
@@ -206,9 +237,11 @@ class TestOtherVerbs:
         assert "invalid input" in p.stderr and "Traceback" not in p.stderr
 
     def test_min_agents_malformed_model(self):
-        p = run_cli("min-agents", "--model", '{"kind":"uniform","a":0.4,"b":0.8,"n":null}')
-        assert p.returncode == 1
-        assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
+        for model in ('{"kind":"uniform","a":0.4,"b":0.8,"n":null}',
+                      '{"kind":"beta","a":0.5,"b":1e308,"n":4}'):
+            p = run_cli("min-agents", "--model", model)
+            assert p.returncode == 1
+            assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
 
     def test_flag_error_exit_code(self):
         p = run_cli("equilibria")  # missing --prior

@@ -1,5 +1,6 @@
-"""The analytic path never loads numpy: importing the package, and running
-the six analytic CLI verbs, leaves numpy and the oracles out of sys.modules.
+"""The analytic path never loads numpy: importing the package, running the six
+analytic CLI verbs, and pricing the punished mechanism's equilibria leave numpy
+and the oracles out of sys.modules.
 Each check runs in a fresh interpreter, since this test process has numpy."""
 import subprocess
 import sys
@@ -62,6 +63,18 @@ def test_analytic_verb_is_numpy_free(verb):
         from peerpredict.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             assert main({ANALYTIC_VERBS[verb]!r}) == 0
+        assert "numpy" not in sys.modules
+        assert "peerpredict.verify" not in sys.modules
+    """)
+
+
+def test_punished_payoffs_are_numpy_free():
+    run_python("""
+        import sys
+        from peerpredict import GenerativeModel, build_mppm, mppm_equilibrium_payoffs
+        for model in (GenerativeModel.uniform(0.4, 0.8, 40), GenerativeModel.beta(0.3, 2.0, 40),
+                      GenerativeModel.discrete([0.2, 0.8], [1, 3], 40)):
+            assert "Truth" in mppm_equilibrium_payoffs(build_mppm(model))
         assert "numpy" not in sys.modules
         assert "peerpredict.verify" not in sys.modules
     """)

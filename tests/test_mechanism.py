@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -235,6 +238,80 @@ class TestSameReportProbability:
         emp = (reports.all(axis=0) | (~reports).all(axis=0)).mean()
         sigma = np.sqrt(value * (1 - value) / trials)
         assert abs(emp - value) < 4 * sigma
+
+
+def exact_alike(kind, params, strategies):
+    """All-alike probability in exact rational arithmetic: each rate r(p) =
+    t0 + (t1 - t0) p is expanded into monomials, and E[p^j] is a rational
+    closed form for rational parameters."""
+    if kind == "discrete":
+        points, weights = params
+        total = sum(weights)
+        return sum(w / total * (math.prod(t0 + (t1 - t0) * p for t0, t1 in strategies)
+                                + math.prod(1 - t0 - (t1 - t0) * p for t0, t1 in strategies))
+                   for p, w in zip(points, weights))
+
+    def moment(j):
+        a, b = params
+        if kind == "uniform":
+            return (b ** (j + 1) - a ** (j + 1)) / ((j + 1) * (b - a))
+        return math.prod((a + i) / (a + b + i) for i in range(j))
+
+    def times(poly, c0, c1):  # poly(p) * (c0 + c1 p)
+        return [x * c0 + y * c1 for x, y in zip(poly + [0], [0] + poly)]
+
+    ones, zeros = [Fraction(1)], [Fraction(1)]
+    for t0, t1 in strategies:
+        ones, zeros = times(ones, t0, t1 - t0), times(zeros, 1 - t0, t0 - t1)
+    return sum((o + z) * moment(j) for j, (o, z) in enumerate(zip(ones, zeros)))
+
+
+class TestExactAlike:
+    MODELS = [("beta", (Fraction(3, 10), Fraction(2))), ("beta", (Fraction(1, 2), Fraction(1, 2))),
+              ("beta", (Fraction(21, 5), Fraction(7, 10))), ("uniform", (Fraction(1, 2), Fraction(9, 10))),
+              ("discrete", ((Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)), (1, 2, 3)))]
+    MIXED = [(Fraction(1, 5), Fraction(9, 10)), (Fraction(0), Fraction(1)),
+             (Fraction(1, 2), Fraction(3, 5)), (Fraction(1), Fraction(1, 4))]
+
+    @staticmethod
+    def model(kind, params):
+        if kind == "discrete":
+            return GenerativeModel.discrete(*params, n_agents=2)
+        return getattr(GenerativeModel, kind)(*map(float, params), n_agents=2)
+
+    def test_matches_rational_arithmetic(self):
+        profiles = [[(Fraction(0), Fraction(1))] * m for m in (1, 7, 60)]
+        profiles += [[(Fraction(3, 10), Fraction(4, 5))] * 50, [(Fraction(1), Fraction(1, 4))] * 50]
+        profiles += [self.MIXED, self.MIXED * 3 + [(Fraction(3, 10), Fraction(4, 5))] * 20]
+        for kind, params in self.MODELS:
+            model = self.model(kind, params)
+            for profile in profiles:
+                value = all_same_report_probability(model, [tuple(map(float, s)) for s in profile])
+                expect = exact_alike(kind, params, profile)
+                assert value == pytest.approx(float(expect), rel=1e-12), (kind, params, profile[:2])
+
+    def test_constant_profiles_are_exactly_one(self):
+        for kind, params in self.MODELS:
+            for m in (1, 40, 3000):
+                model = self.model(kind, params)
+                assert all_same_report_probability(model, [(0.0, 0.0)] * m) == 1.0
+                assert all_same_report_probability(model, [(1.0, 1.0)] * m) == 1.0
+
+    def test_concentrated_beta_at_large_m(self):
+        # both ends of the pmf underflow, and the terms near its middle carry the mass
+        a = b = 200.0
+        u = np.linspace(0.0, 1.0, 400001)[1:-1]
+        r = 0.99 + 0.01 * u
+        log_dens = ((a - 1) * np.log(u) + (b - 1) * np.log1p(-u)
+                    - math.lgamma(a) - math.lgamma(b) + math.lgamma(a + b))
+        expect = np.exp(20000 * np.log(r) + log_dens).sum() * (u[1] - u[0])
+        value = all_same_report_probability(GenerativeModel.beta(a, b, 2), [(0.99, 1.0)] * 20000)
+        assert value == pytest.approx(expect, rel=1e-9)
+
+    def test_rejects_rates_outside_unit_interval(self):
+        for bad in ([(0.0, 1.5)], [(-0.1, 0.5)], [(float("nan"), 0.5)], [(0.2, 0.9), (0.5, 2.0)]):
+            with pytest.raises(OutOfRange):
+                all_same_report_probability(MODEL_0509, bad)
 
 
 class TestMppmFocality:

@@ -87,6 +87,28 @@ class TestPriorFromModel:
             assert p.q11 > p.q1 > p.q10
 
 
+class TestModelValidation:
+    def test_rejects_non_finite_and_overflowing_parameters(self):
+        inf, nan = float("inf"), float("nan")
+        builds = [lambda: GenerativeModel.beta(inf, 2.0, 4),
+                  lambda: GenerativeModel.beta(0.5, nan, 4),
+                  lambda: GenerativeModel.beta(0.5, 1e308, 4),
+                  lambda: GenerativeModel.uniform(0.2, inf, 4),
+                  lambda: GenerativeModel.discrete([0.2, nan], [1.0, 1.0], 4),
+                  lambda: GenerativeModel.discrete([0.2, 0.8], [1.0, inf], 4),
+                  lambda: GenerativeModel.discrete([0.2, 0.8], [1.0, nan], 4),
+                  lambda: GenerativeModel.discrete([0.2, 0.8], [1e308, 1e308], 4)]
+        for build in builds:
+            with pytest.raises(OutOfRange):
+                build()
+
+    def test_large_finite_parameters_still_accepted(self):
+        model = GenerativeModel.beta(1e3, 1e3, 4)
+        assert model.moment(1) == pytest.approx(0.5, abs=1e-12)
+        weights = GenerativeModel.discrete([0.2, 0.8], [1e307, 3e307], 4).weights
+        assert weights == pytest.approx((0.25, 0.75), abs=1e-15)
+
+
 class TestEpsilonQ:
     def test_two_agents_reduces_to_marginal(self):
         model = GenerativeModel.uniform(2 / 5, 4 / 5, 2)

@@ -146,6 +146,11 @@ class TestMatrices:
                 LineSet.from_dict({**good, key: bad})
         with pytest.raises(OutOfRange):
             LineSet.from_dict([2, 1, 0.5, 0])
+        for key, bad in (("alpha", "inf"), ("beta", "-inf"), ("qstar", "nan"), ("gamma", "nan")):
+            with pytest.raises(OutOfRange, match="finite"):
+                LineSet.from_dict({**good, key: bad})
+        with pytest.raises(OutOfRange, match="finite"):
+            LineSet(alpha=float("inf"), beta=0.0, qstar=0.5, gamma=0.0)
 
 
 class TestNormalize:
