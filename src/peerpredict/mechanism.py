@@ -5,13 +5,14 @@ arithmetic tying the punishment level to the agent count.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .equilibria import equilibrium_set
 from .errors import IndexOutOfRange, NeverFocal, OutOfRange
-from .prior import GenerativeModel, _number, epsilon_q, model_from_dict, prior_from_model
+from .prior import GenerativeModel, _integer, _number, epsilon_q, model_from_dict, prior_from_model
 from .scoring import PayoffMatrix
 
 
@@ -28,6 +29,7 @@ class MechanismSpec:
     dim_matrices: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_agents", _integer(self.n_agents, "n_agents"))
         if self.n_agents < 2:
             raise OutOfRange(f"a mechanism needs at least 2 agents, got {self.n_agents}")
         if not (math.isfinite(self.punishment) and self.punishment >= 0.0):
@@ -91,8 +93,12 @@ class PaymentRound:
             raise OutOfRange("every agent row needs the same number of bit columns") from None
         if bits.dtype.kind not in "biu" or not ((bits == 0) | (bits == 1)).all():
             raise OutOfRange(f"reports must be bits, got {self.reports!r}")
-        if not 0 <= self.round_id < 2 ** 64:
-            raise OutOfRange(f"round id must lie in [0, 2**64), got {self.round_id}")
+        for name in ("seed", "round_id"):  # Python ints in [0, 2**64); floats and bools raise
+            value = getattr(self, name)
+            word = -1 if isinstance(value, float) else _integer(value, name)
+            if not 0 <= word < 2 ** 64:
+                raise OutOfRange(f"{name} must be an integer in [0, 2**64), got {value!r}")
+            object.__setattr__(self, name, word)
         object.__setattr__(self, "bits", bits.tolist())
 
     @classmethod
@@ -103,15 +109,46 @@ class PaymentRound:
                    seed=seed, round_id=round_id)
 
 
-def _pay(spec: MechanismSpec, rnd: PaymentRound, i: int, round_ids, punish: bool):
-    """Array of agent i's payments in the listed rounds: h_k[peer report, own report] on a
-    uniformly drawn dimension k against a uniformly drawn peer, minus the
-    punishment when `punish` is set and all others reported alike.  The draws
-    are the first raw words of the Philox stream keyed by the seed at counter
-    (0, 0, round id, agent); word 0 picks k when d > 1, the last word the peer."""
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # Philox4x64 round multipliers
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # and key increments
+_MASK = 2 ** 64 - 1
+
+
+def _mulhilo(a, m: int):
+    """High and low 64-bit words of a * m: exact for a Python int a; for a uint64 array
+    a, the high word is built from 32-bit pieces, every partial sum below 2**64."""
+    if isinstance(a, int):
+        p = a * m
+        return p >> 64, p & _MASK
+    a_lo, a_hi, m_lo, m_hi = a & 0xFFFFFFFF, a >> 32, m & 0xFFFFFFFF, m >> 32
+    u = a_hi * m_lo + (a_lo * m_lo >> 32)
+    v = a_lo * m_hi + (u & 0xFFFFFFFF)
+    return a_hi * m_hi + (u >> 32) + (v >> 32), a * m
+
+
+def _philox(key: int, rid, i: int):
+    """Words 0 and 1 of numpy's Philox(key) stream at counter (0, 0, rid, i), for a
+    Python int rid or a uint64 array of them.  The stream increments the counter
+    before its first output, so this is the Philox4x64-10 block of (1, 0, rid, i)."""
+    x0, x1, x2, x3, k0, k1 = 1, 0, rid, i, key, 0
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(x0, _M0)
+        hi1, lo1 = _mulhilo(x2, _M1)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        k0, k1 = (k0 + _W0) & _MASK, (k1 + _W1) & _MASK
+    return x0, x1
+
+
+def _pay(spec: MechanismSpec, rnd: PaymentRound, i: int, rid, punish: bool):
+    """Agent i's payment in round rid, or their float64 array over a uint64 array rid:
+    h_k[peer report, own report] on a uniformly drawn dimension k against a uniformly
+    drawn peer, minus the punishment when `punish` is set and all others reported alike.
+    The draws are words 0 and 1 of the Philox stream keyed by the seed at counter
+    (0, 0, round id, agent); word 0 picks k when d > 1, the last word drawn the peer."""
     import numpy as np
 
     n, d, bits = spec.n_agents, spec.dimensions, rnd.bits
+    i = _integer(i, "agent index")
     if not 0 <= i < n or len(bits) != n or len(bits[0]) != d:
         raise IndexOutOfRange(f"agent {i} / {len(bits)} reports of width {len(bits[0])} "
                               f"vs n={n}, d={d}")
@@ -122,45 +159,39 @@ def _pay(spec: MechanismSpec, rnd: PaymentRound, i: int, round_ids, punish: bool
     # cols[k][peer report]: agent i's payment on dimension k
     cols = [[spec.matrix_for(k).payment(pb, bits[i][k]) - penalty for pb in (0, 1)]
             for k in range(d)]
-    bg = np.random.Philox(key=rnd.seed & (2 ** 64 - 1))
-    state = bg.state
-    counter = state["state"]["counter"]
-    counter[3] = i
-    pays = []
-    try:
-        for rid in round_ids:
-            counter[2] = int(rid)  # a Python int raises on a negative id; a numpy one would wrap
-            bg.state = state
-            # modulo bias is O(n / 2^64), far below payment precision
-            if d == 1:
-                k, j = 0, bg.random_raw() % (n - 1)
-            else:
-                w_dim, w_peer = bg.random_raw(2).tolist()
-                k, j = w_dim % d, w_peer % (n - 1)
-            j += j >= i
-            pays.append(cols[k][bits[j][k]])
-    except OverflowError:
-        raise OutOfRange("round ids must lie in [0, 2**64)") from None
-    return np.array(pays)
+    w0, w1 = _philox(rnd.seed, rid, i)
+    # modulo bias is O(n / 2^64), far below payment precision
+    k, j = w0 % d, (w1 if d > 1 else w0) % (n - 1)
+    j += j >= i
+    return cols[k][bits[j][k]] if isinstance(rid, int) else np.array(cols)[k, np.array(bits)[j, k]]
 
 
 def ppm_pay(spec: MechanismSpec, rnd: PaymentRound, i: int) -> float:
     """Agent i's payment h[peer report, own report] against a uniformly drawn
     peer, on a uniformly drawn dimension when d > 1; multidim_pay is this function."""
-    return float(_pay(spec, rnd, i, (rnd.round_id,), punish=False)[0])
+    return float(_pay(spec, rnd, i, rnd.round_id, punish=False))
 
 
 multidim_pay = ppm_pay
 
 
 def ppm_pay_rounds(spec: MechanismSpec, reports, i: int, seed: int, round_ids):
-    """ppm_pay over many round ids with fixed reports, as one numpy array."""
-    return _pay(spec, PaymentRound(reports=tuple(reports), seed=seed), i, round_ids, punish=False)
+    """ppm_pay over many round ids with fixed reports, as one float64 array."""
+    import numpy as np
+
+    try:
+        ids = list(round_ids)
+        if bool in map(type, ids):  # operator.index would read True as 1
+            raise TypeError
+        ids = np.fromiter(map(operator.index, ids), np.uint64, len(ids))  # range-checks each id
+    except (TypeError, OverflowError):
+        raise OutOfRange("round ids must be an iterable of integers in [0, 2**64)") from None
+    return _pay(spec, PaymentRound(reports=tuple(reports), seed=seed), i, ids, punish=False)
 
 
 def mppm_pay(spec: MechanismSpec, rnd: PaymentRound, i: int) -> float:
     """ppm_pay minus the punishment when all other agents reported alike."""
-    return float(_pay(spec, rnd, i, (rnd.round_id,), punish=True)[0])
+    return float(_pay(spec, rnd, i, rnd.round_id, punish=True))
 
 
 def punishment_level(t: float, delta_star: float, eps_q: float) -> float:

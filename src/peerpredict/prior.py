@@ -8,6 +8,7 @@ correlation (q(1|1) > q(1|0)) is enforced at construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DegenerateModel, NotPositivelyCorrelated, OutOfRange
@@ -89,6 +90,7 @@ class GenerativeModel:
     weights: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_agents", _integer(self.n_agents, "n_agents"))
         if self.n_agents < 1:
             raise OutOfRange(f"n_agents must be positive, got {self.n_agents}")
         if not all(map(math.isfinite, (self.a, self.b, *self.points, *self.weights,
@@ -183,13 +185,26 @@ def epsilon_q(model: GenerativeModel) -> float:
     return max(model.moment(m), model.moment(m, complement=True))
 
 
+def _integer(value, name: str) -> int:
+    """An agent count or index as a Python int: integers, numpy ones included, and
+    integral floats pass; a bool or any other value raises OutOfRange naming the field."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise OutOfRange(f"{name} must be an integer, got {value!r}")
+
+
 def _number(value, name: str, cast=float):
-    """cast(value) for a JSON number or numeric string.  A null, boolean, list
-    or object raises OutOfRange naming the field; a non-numeric string still
-    raises ValueError."""
+    """cast(value) for a JSON number or numeric string; cast=int reads a number
+    through _integer.  A null, boolean, list or object raises OutOfRange naming
+    the field; a non-numeric string still raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise OutOfRange(f"{name} must be a number, got {value!r}")
-    return cast(value)
+    return _integer(value, name) if cast is int and not isinstance(value, str) else cast(value)
 
 
 def model_from_dict(d: dict) -> GenerativeModel:

@@ -238,7 +238,8 @@ class TestOtherVerbs:
 
     def test_min_agents_malformed_model(self):
         for model in ('{"kind":"uniform","a":0.4,"b":0.8,"n":null}',
-                      '{"kind":"beta","a":0.5,"b":1e308,"n":4}'):
+                      '{"kind":"beta","a":0.5,"b":1e308,"n":4}',
+                      '{"kind":"uniform","a":0.5,"b":0.9,"n":4.5}'):
             p = run_cli("min-agents", "--model", model)
             assert p.returncode == 1
             assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr

@@ -11,7 +11,7 @@ from peerpredict import (GenerativeModel, MechanismSpec, NeverFocal, OutOfRange,
                          multidim_pay, optimal_mechanism, ppm_pay, prior_from_model,
                          punishment_level, renormalized)
 from peerpredict import IndexOutOfRange
-from peerpredict.mechanism import ppm_pay_rounds
+from peerpredict.mechanism import _philox, ppm_pay_rounds
 
 MATRIX = PayoffMatrix(h11=1.0, h10=0.2, h01=0.1, h00=0.7)
 MATRIX_B = PayoffMatrix(0.9, 0.0, 0.1, 0.6)
@@ -66,6 +66,34 @@ class TestPaymentStream:
                 assert list(ppm_pay_rounds(spec, reports, i, seed, round_ids)) == expected
 
 
+class TestPhilox:
+    """_philox against numpy's Philox words 0 and 1 at counter (0, 0, rid, agent)."""
+
+    EDGE_RIDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1)
+
+    def triples(self):
+        rng = np.random.default_rng(1603073)
+        seeds = [0, 2 ** 64 - 1] + rng.integers(0, 2 ** 64, 318, dtype=np.uint64).tolist()
+        rids = list(self.EDGE_RIDS) * 20 + rng.integers(0, 2 ** 64, 200, dtype=np.uint64).tolist()
+        agents = [0, 10 ** 6] + rng.integers(0, 10 ** 6, 318, endpoint=True).tolist()
+        return list(zip(seeds, rids, agents))
+
+    @staticmethod
+    def numpy_words(seed, rid, agent):
+        counter = np.array([0, 0, rid, agent], dtype=np.uint64)
+        return tuple(np.random.Philox(key=seed, counter=counter).random_raw(2).tolist())
+
+    def test_int_path_matches_numpy(self):
+        for seed, rid, agent in self.triples():
+            assert _philox(seed, rid, agent) == self.numpy_words(seed, rid, agent)
+
+    def test_array_path_matches_numpy(self):
+        triples = self.triples()
+        w0, w1 = _philox(*(np.array(col, dtype=np.uint64) for col in zip(*triples)))
+        assert w0.dtype == w1.dtype == np.uint64
+        assert list(zip(w0.tolist(), w1.tolist())) == [self.numpy_words(*t) for t in triples]
+
+
 class TestPpmPay:
     def test_unanimous_reports(self):
         spec = MechanismSpec(matrix=MATRIX, n_agents=6)
@@ -111,13 +139,58 @@ class TestPpmPay:
 
     def test_round_id_range(self):
         spec = MechanismSpec(matrix=MATRIX, n_agents=3)
-        for rid in (-1, 2 ** 64, np.int64(-1)):
+        for rid in (-1, 2 ** 64, np.int64(-1), 1.5, 2.0, np.float64(1.0), True, np.True_, "1",
+                    None):
             with pytest.raises(OutOfRange):
                 PaymentRound(reports=(1, 0, 1), round_id=rid)
             with pytest.raises(OutOfRange):
                 ppm_pay_rounds(spec, (1, 0, 1), 0, seed=0, round_ids=[0, rid])
-        with pytest.raises(OutOfRange):
-            ppm_pay_rounds(spec, (1, 0, 1), 0, seed=0, round_ids=np.array([-1]))
+        for round_ids in (np.array([-1]), np.array([3, -1], dtype=np.int8), [1.5, 2.9],
+                          np.array([1.5, 2.9]), np.array([True]), 5, None):
+            with pytest.raises(OutOfRange):
+                ppm_pay_rounds(spec, (1, 0, 1), 0, seed=0, round_ids=round_ids)
+
+    def test_seed_range(self):
+        spec = MechanismSpec(matrix=MATRIX, n_agents=3)
+        for seed in (-1, 2 ** 64, 2 ** 64 + 3, np.int64(-1), 1.5, None, True):
+            with pytest.raises(OutOfRange):
+                PaymentRound(reports=(1, 0, 1), seed=seed)
+            with pytest.raises(OutOfRange):
+                ppm_pay_rounds(spec, (1, 0, 1), 0, seed=seed, round_ids=[0])
+
+    def test_numpy_integers_read_as_python_ints(self):
+        spec = MechanismSpec(matrix=MATRIX, n_agents=np.int64(4))
+        rnd = PaymentRound(reports=(0, 1, 1, 0), seed=np.uint64(2 ** 64 - 1), round_id=np.int64(9))
+        assert type(spec.n_agents) is type(rnd.seed) is type(rnd.round_id) is int
+        plain = PaymentRound(reports=(0, 1, 1, 0), seed=2 ** 64 - 1, round_id=9)
+        assert all(ppm_pay(spec, rnd, np.int32(i)) == ppm_pay(spec, plain, i) for i in range(4))
+
+    def test_agent_index_must_be_integer(self):
+        spec = MechanismSpec(matrix=MATRIX, n_agents=3)
+        rnd = PaymentRound(reports=(1, 0, 1), seed=4, round_id=2)
+        for i in (True, 1.5, "1", None):
+            for pay in (ppm_pay, mppm_pay):
+                with pytest.raises(OutOfRange):
+                    pay(spec, rnd, i)
+            with pytest.raises(OutOfRange):
+                ppm_pay_rounds(spec, (1, 0, 1), i, seed=4, round_ids=[2])
+        assert ppm_pay(spec, rnd, 1.0) == ppm_pay(spec, rnd, 1)
+
+    def test_round_id_containers(self):
+        spec = MechanismSpec(matrix=MATRIX, n_agents=5)
+        reports = (1, 0, 1, 1, 0)
+        big = [2 ** 63, 2 ** 63 + 5, 2 ** 64 - 1]
+
+        def one_by_one(rids):
+            return [ppm_pay(spec, PaymentRound(reports=reports, seed=9, round_id=r), 2)
+                    for r in rids]
+
+        for round_ids, rids in ((range(3, 40, 3), range(3, 40, 3)), (big, big),
+                                (np.arange(20, dtype=np.int64), range(20)),
+                                (np.array(big, dtype=np.uint64), big), ([], [])):
+            pays = ppm_pay_rounds(spec, reports, 2, 9, round_ids)
+            assert pays.dtype == np.float64 and pays.shape == (len(rids),)
+            assert list(pays) == one_by_one(rids)
 
 
 class TestMppmPay:
@@ -385,8 +458,12 @@ class TestMultidim:
             assert abs(np.mean(draws) - exact) < 4 * max(se, 1e-12)
 
     def test_spec_validation(self):
+        for n in (1, 2.5, True, "3", None):
+            with pytest.raises(OutOfRange):
+                MechanismSpec(matrix=MATRIX, n_agents=n)
         with pytest.raises(OutOfRange):
-            MechanismSpec(matrix=MATRIX, n_agents=1)
+            MechanismSpec.from_dict({"matrix": MATRIX.to_dict(), "n_agents": 4.5})
+        assert type(MechanismSpec(matrix=MATRIX, n_agents=4.0).n_agents) is int
         with pytest.raises(OutOfRange):
             MechanismSpec(matrix=MATRIX, n_agents=3, punishment=0.5)  # no model
         with pytest.raises(OutOfRange):

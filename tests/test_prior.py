@@ -4,6 +4,7 @@ import pytest
 from peerpredict import (DegenerateModel, GenerativeModel, NotPositivelyCorrelated,
                          OutOfRange, epsilon_q, model_from_dict, prior_from_conditionals,
                          prior_from_dict, prior_from_model)
+from peerpredict.prior import _number
 
 
 class TestPriorFromConditionals:
@@ -101,6 +102,17 @@ class TestModelValidation:
         for build in builds:
             with pytest.raises(OutOfRange):
                 build()
+
+    def test_agent_count_must_be_integer(self):
+        for n in (4.5, True, "4", None, float("inf")):
+            with pytest.raises(OutOfRange):
+                GenerativeModel.uniform(0.5, 0.9, n)
+        for value in (2.5, float("nan")):
+            with pytest.raises(OutOfRange):
+                _number(value, "n", int)
+        model = GenerativeModel.beta(2.0, 3.0, 4.0)
+        assert type(model.n_agents) is int and model == GenerativeModel.beta(2.0, 3.0, 4)
+        assert _number(4.0, "n", int) == _number("4", "n", int) == 4
 
     def test_large_finite_parameters_still_accepted(self):
         model = GenerativeModel.beta(1e3, 1e3, 4)
