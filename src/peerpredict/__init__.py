@@ -17,9 +17,8 @@ from .optimizer import (GapReport, Region, classify_region, gap, k_sup, kappa_io
                         optimal_mechanism, optimal_qstar, xi)
 from .prior import (GenerativeModel, Prior, epsilon_q, model_from_dict,
                     prior_from_conditionals, prior_from_dict, prior_from_model)
-from .scoring import (BRIER, LineSet, PayoffMatrix, ScoringRule, break_even, brier,
-                      convex_generator, lineset_from_k_qstar, lineset_to_matrix,
-                      matrix_from_rule, normalize, shifted_brier)
+from .scoring import (BRIER, LineSet, PayoffMatrix, ScoringRule, brier, convex_generator,
+                      lineset_from_k_qstar, lineset_to_matrix, matrix_from_rule, normalize)
 
 # The oracles import numpy, so they load on first use (PEP 562) and the
 # analytic path stays numpy-free.

@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     except PeerPredictError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
 

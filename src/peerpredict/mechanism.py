@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 
 from .equilibria import equilibrium_set
 from .errors import IndexOutOfRange, NeverFocal, OutOfRange
-from .prior import GenerativeModel, _integer, _number, epsilon_q, model_from_dict, prior_from_model
+from .prior import (GenerativeModel, _integer, _number, _uint64, epsilon_q, model_from_dict,
+                    prior_from_model)
 from .scoring import PayoffMatrix
 
 
@@ -93,12 +94,8 @@ class PaymentRound:
             raise OutOfRange("every agent row needs the same number of bit columns") from None
         if bits.dtype.kind not in "biu" or not ((bits == 0) | (bits == 1)).all():
             raise OutOfRange(f"reports must be bits, got {self.reports!r}")
-        for name in ("seed", "round_id"):  # Python ints in [0, 2**64); floats and bools raise
-            value = getattr(self, name)
-            word = -1 if isinstance(value, float) else _integer(value, name)
-            if not 0 <= word < 2 ** 64:
-                raise OutOfRange(f"{name} must be an integer in [0, 2**64), got {value!r}")
-            object.__setattr__(self, name, word)
+        for name in ("seed", "round_id"):
+            object.__setattr__(self, name, _uint64(getattr(self, name), name))
         object.__setattr__(self, "bits", bits.tolist())
 
     @classmethod

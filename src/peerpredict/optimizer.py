@@ -203,7 +203,7 @@ def optimal_mechanism(prior: Prior, epsilon: Optional[float] = None) -> GapRepor
     else:
         if epsilon is None:
             raise EpsilonMissing("prior is unattainable (R3); supply a positive epsilon")
-        if epsilon <= 0.0 or p.q00 + epsilon >= p.q11:
+        if not (epsilon > 0.0 and p.q00 + epsilon < p.q11):  # NaN fails too
             raise OutOfRange(f"epsilon must satisfy 0 < epsilon < q(1|1) - q(0|0), got {epsilon}")
         qs = p.q00 + epsilon
         matrix = normalize(lineset_to_matrix(lineset_from_k_qstar(k_sup(p, qs), qs, p)))

@@ -130,7 +130,10 @@ class GenerativeModel:
         return cls(kind="discrete", n_agents=n_agents, points=tuple(points), weights=tuple(weights))
 
     def moment(self, k: int, complement: bool = False) -> float:
-        """E[p^k], or E[(1-p)^k] when complement is set; closed form per kind."""
+        """E[p^k], or E[(1-p)^k] when complement is set; closed form per kind.
+        For beta, orders 1 and 2 are the plain ratios a/(a+b) and
+        a(a+1)/((a+b)(a+b+1)); higher orders use lgamma, which loses digits
+        to cancellation when a + b + k is large."""
         if k < 0:
             raise OutOfRange("moment order must be non-negative")
         if k == 0:
@@ -140,6 +143,10 @@ class GenerativeModel:
             return (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo))
         if self.kind == "beta":
             a, b = (self.b, self.a) if complement else (self.a, self.b)
+            if k == 1:
+                return a / (a + b)
+            if k == 2:
+                return a * (a + 1.0) / ((a + b) * (a + b + 1.0))
             return math.exp(
                 math.lgamma(a + k) - math.lgamma(a) + math.lgamma(a + b) - math.lgamma(a + b + k)
             )
@@ -196,6 +203,15 @@ def _integer(value, name: str) -> int:
     except TypeError:
         pass
     raise OutOfRange(f"{name} must be an integer, got {value!r}")
+
+
+def _uint64(value, name: str) -> int:
+    """A seed or round id as a Python int in [0, 2**64): integers pass, numpy ones
+    included; a float, a bool or any value out of range raises OutOfRange."""
+    word = -1 if isinstance(value, float) else _integer(value, name)
+    if not 0 <= word < 2 ** 64:
+        raise OutOfRange(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return word
 
 
 def _number(value, name: str, cast=float):

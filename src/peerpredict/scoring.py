@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DegenerateMatrix, InfeasibleTangents, NotStrict, OutOfRange
 from .prior import Prior, _number
@@ -116,14 +116,11 @@ class ScoringRule:
     """Evaluable scoring rule: payment as a function of (report, prediction).
 
     value0/value1 give the payment at reports 0 and 1; probabilistic reports
-    use the affine extension.  generator, when present, is the convex
-    function whose tangents realize the rule, used for full-domain properness
-    checks.
+    use the affine extension.
     """
 
     value0: Callable[[float], float]
     value1: Callable[[float], float]
-    generator: Optional[Callable[[float], float]] = None
 
     def score(self, report: float, predicted: float) -> float:
         if not (0.0 <= predicted <= 1.0):
@@ -133,42 +130,13 @@ class ScoringRule:
         return report * self.value1(predicted) + (1.0 - report) * self.value0(predicted)
 
 
-def brier(report: float, predicted: float) -> float:
-    """Quadratic score 2Iq + 2(1-I)(1-q) - q^2 - (1-q)^2, affinely extended
-    to probabilistic reports."""
-    if not (0.0 <= predicted <= 1.0):
-        raise OutOfRange(f"predicted probability must lie in [0,1], got {predicted}")
-    if not (0.0 <= report <= 1.0):
-        raise OutOfRange(f"report must lie in [0,1], got {report}")
-    q = predicted
-    return 2.0 * report * q + 2.0 * (1.0 - report) * (1.0 - q) - q * q - (1.0 - q) * (1.0 - q)
-
-
+# quadratic score 2Iq + 2(1-I)(1-q) - q^2 - (1-q)^2, affinely extended to
+# probabilistic reports
 BRIER = ScoringRule(
     value0=lambda q: 1.0 - 2.0 * q * q,
     value1=lambda q: 4.0 * q - 2.0 * q * q - 1.0,
-    generator=lambda q: q * q + (1.0 - q) * (1.0 - q),  # tangents reproduce the rule exactly
 )
-
-
-def shifted_brier(c: float) -> ScoringRule:
-    """Brier with both arguments shifted by c before evaluation."""
-
-    def raw(report, q):
-        p, s = report - c, q - c
-        return 2.0 * p * s + 2.0 * (1.0 - p) * (1.0 - s) - s * s - (1.0 - s) * (1.0 - s)
-
-    return ScoringRule(value0=lambda q: raw(0.0, q), value1=lambda q: raw(1.0, q))
-
-
-def break_even(rule: ScoringRule, prior: Prior) -> float:
-    """Unique q* with PS(q*, q(1|1)) = PS(q*, q(1|0)); closed form because the
-    rule is affine in its first argument."""
-    diff0 = rule.score(0.0, prior.q11) - rule.score(0.0, prior.q10)
-    diff1 = rule.score(1.0, prior.q11) - rule.score(1.0, prior.q10)
-    if diff0 == diff1:
-        raise NotStrict("rule pays both predictions identically; no unique break-even point")
-    return diff0 / (diff0 - diff1)
+brier = BRIER.score
 
 
 def matrix_from_rule(rule: ScoringRule, prior: Prior) -> PayoffMatrix:
@@ -265,8 +233,4 @@ def convex_generator(ls: LineSet, prior: Prior) -> ScoringRule:
     def tangent_at(q: float, x: float) -> float:
         return r(q) + r_prime(q) * (x - q)
 
-    return ScoringRule(
-        value0=lambda q: tangent_at(q, 0.0),
-        value1=lambda q: tangent_at(q, 1.0),
-        generator=r,
-    )
+    return ScoringRule(value0=lambda q: tangent_at(q, 0.0), value1=lambda q: tangent_at(q, 1.0))

@@ -5,8 +5,6 @@ these, never the other way round.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -14,7 +12,7 @@ import numpy as np
 
 from .errors import OutOfRange
 from .mechanism import MechanismSpec
-from .prior import GenerativeModel, Prior
+from .prior import GenerativeModel, Prior, _integer, _uint64
 from .scoring import PayoffMatrix
 
 GAIN_TOLERANCE = 1e-6
@@ -217,7 +215,7 @@ class MonteCarloResult:
 
 def _mc_block(model_list, spec: MechanismSpec, profile: np.ndarray,
               seed: int, block: int, size: int):
-    rng = np.random.default_rng(np.random.SeedSequence((seed & (2 ** 64 - 1), block)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
     n, d = spec.n_agents, spec.dimensions
     ps = np.stack([_sample_p(model_list[k], rng, size) for k in range(d)], axis=1)  # (size, d)
     signals = (rng.random((size, n, d)) < ps[:, None, :]).astype(np.int8)
@@ -255,19 +253,12 @@ def _sample_p(model: GenerativeModel, rng: np.random.Generator, size: int) -> np
     return rng.choice(np.array(model.points), p=np.array(model.weights), size=size)
 
 
-def worker_count() -> int:
-    env = os.environ.get("PEERPREDICT_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def monte_carlo(model, spec: MechanismSpec, profile, trials: int, seed: int) -> MonteCarloResult:
     """Simulate actual play: draw the latent quality, conditionally i.i.d.
     signals, reports per the profile, then pay every agent through the
     mechanism.  Trials split into fixed blocks with per-block substreams of
-    (seed, block), so results are bit-identical for any worker count."""
+    (seed, block), run in order, so a seed gives bit-identical results."""
+    trials, seed = _integer(trials, "trials"), _uint64(seed, "seed")
     if trials < 1:
         raise OutOfRange(f"trials must be positive, got {trials}")
     n, d = spec.n_agents, spec.dimensions
@@ -279,18 +270,10 @@ def monte_carlo(model, spec: MechanismSpec, profile, trials: int, seed: int) -> 
     if prof.shape != (n, d, 2):
         raise OutOfRange(f"profile shape {prof.shape} does not match (n={n}, d={d})")
 
-    blocks = [(b, min(_BLOCK, trials - b * _BLOCK)) for b in range((trials + _BLOCK - 1) // _BLOCK)]
-    workers = min(worker_count(), len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda bs: _mc_block(model_list, spec, prof, seed, bs[0], bs[1]), blocks))
-    else:
-        results = [_mc_block(model_list, spec, prof, seed, b, s) for b, s in blocks]
-
     total = np.zeros(n)
     total_sq = np.zeros(n)
-    for s, ss in results:  # fixed block order keeps the reduction deterministic
+    for b in range((trials + _BLOCK - 1) // _BLOCK):  # fixed block order: a deterministic sum
+        s, ss = _mc_block(model_list, spec, prof, seed, b, min(_BLOCK, trials - b * _BLOCK))
         total += s
         total_sq += ss
     means = total / trials

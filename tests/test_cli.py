@@ -55,6 +55,9 @@ class TestDesignVerb:
         p = run_cli("design", "--prior", prior)
         assert p.returncode == 1
         assert "EpsilonMissing" in p.stderr
+        p = run_cli("design", "--prior", prior, "--epsilon", "nan")
+        assert p.returncode == 1
+        assert "OutOfRange: epsilon must satisfy" in p.stderr
         p = run_cli("design", "--prior", prior, "--epsilon", "1e-3")
         assert p.returncode == 0
         out = json.loads(p.stdout)
@@ -117,6 +120,13 @@ class TestSimulateVerb:
         a = run_cli(*base, "--seed", "3")
         b = run_cli(*base, "--seed", "4")
         assert a.stdout != b.stdout
+
+    def test_seed_outside_uint64_rejected(self):
+        for seed in ("-1", str(2 ** 64)):
+            p = run_cli("simulate", "--spec", self.SPEC, "--profile", self.PROFILE,
+                        "--trials", "100", "--seed", seed)
+            assert p.returncode == 1 and p.stdout == ""
+            assert "OutOfRange: seed" in p.stderr and "Traceback" not in p.stderr
 
     def test_output_schema(self):
         p = run_cli("simulate", "--spec", self.SPEC, "--profile", self.PROFILE,
@@ -243,6 +253,13 @@ class TestOtherVerbs:
             p = run_cli("min-agents", "--model", model)
             assert p.returncode == 1
             assert "OutOfRange" in p.stderr and "Traceback" not in p.stderr
+
+    def test_file_errors_exit_code(self, tmp_path):
+        for args in (("--prior", f"@{tmp_path / 'missing.json'}"),
+                     ("--prior", UNIFORM_PRIOR, "--output", str(tmp_path / "no" / "out.json"))):
+            p = run_cli("analyze", *args)
+            assert p.returncode == 2
+            assert "invalid input" in p.stderr and "Traceback" not in p.stderr
 
     def test_flag_error_exit_code(self):
         p = run_cli("equilibria")  # missing --prior

@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     'MirrorRequired', 'MonteCarloResult', 'NeverFocal', 'NotPositivelyCorrelated', 'NotStrict',
     'OutOfRange', 'OutsideHull', 'PaymentRound', 'PayoffMatrix', 'PeerPredictError', 'Prior',
     'Region', 'ResponsePoint', 'ScoringRule', 'SymmetricPrior', 'SymmetricStrategy',
-    'TruthNotEquilibrium', 'all_same_report_probability', 'best_response_payoff', 'break_even',
+    'TruthNotEquilibrium', 'all_same_report_probability', 'best_response_payoff',
     'brier', 'build_mppm', 'classify_region', 'convex_generator', 'deviation_gain',
     'deviation_gain_product', 'deviation_report', 'enumerate_equilibria', 'epsilon_q',
     'equilibria', 'equilibrium_set', 'errors', 'expected_payoff', 'focality_condition', 'gap',
@@ -36,7 +36,7 @@ PUBLIC_NAMES = [
     'optimal_mechanism', 'optimal_qstar', 'optimizer', 'plot_data', 'ppm_pay', 'prior',
     'prior_from_conditionals', 'prior_from_dict', 'prior_from_model', 'product_scan',
     'punishment_level', 'quadrant', 'renormalized', 'response_point', 'scoring',
-    'shifted_brier', 'strategy_from_point', 'symmetric_gain_grid', 'translate', 'verify', 'xi',
+    'strategy_from_point', 'symmetric_gain_grid', 'translate', 'verify', 'xi',
 ]
 
 

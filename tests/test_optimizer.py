@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from peerpredict import (BRIER, Boundary, DegenerateMatrix, EpsilonMissing,
-                         GenerativeModel, MirrorRequired, PayoffMatrix, SymmetricPrior,
-                         TruthNotEquilibrium, classify_region, enumerate_equilibria,
-                         equilibrium_set, gap, k_sup, kappa_iota, lineset_from_k_qstar,
-                         lineset_to_matrix, matrix_from_rule, normalize,
+                         GenerativeModel, MirrorRequired, OutOfRange, PayoffMatrix,
+                         SymmetricPrior, TruthNotEquilibrium, classify_region,
+                         enumerate_equilibria, equilibrium_set, gap, k_sup, kappa_iota,
+                         lineset_from_k_qstar, lineset_to_matrix, matrix_from_rule, normalize,
                          optimal_mechanism, optimal_qstar, prior_from_conditionals,
                          prior_from_model, xi)
 
@@ -293,6 +293,10 @@ class TestOptimalMechanism:
     def test_r3_needs_epsilon(self):
         with pytest.raises(EpsilonMissing):
             optimal_mechanism(R3_PRIOR)
+        for prior in (R3_PRIOR, prior_from_conditionals(0.52, 0.46)):
+            assert classify_region(prior).tag == "R3"
+            with pytest.raises(OutOfRange, match="epsilon must satisfy"):
+                optimal_mechanism(prior, epsilon=float("nan"))
 
     def test_off_diagonal_zero_at_a_optimum(self):
         qa = optimal_qstar(RESTAURANT, "a")

@@ -61,6 +61,15 @@ class TestPriorFromModel:
         with pytest.raises(DegenerateModel):
             prior_from_model(GenerativeModel.discrete([0.6], [1.0], 5))
 
+    def test_large_beta_shapes_keep_their_digits(self):
+        assert GenerativeModel.beta(1e6, 1e6, 4).moment(1) == 0.5
+        for a, b in ((1e6, 1e6), (3e5, 2e5)):
+            p = prior_from_model(GenerativeModel.beta(a, b, 4))
+            assert p.q11 == pytest.approx((a + 1) / (a + b + 1), rel=1e-15)
+            assert p.q10 == pytest.approx(a / (a + b + 1), rel=1e-15)
+            # each conditional carries one rounding, about 1e-10 of their 2e-6 difference
+            assert p.q11 - p.q10 == pytest.approx(1 / (a + b + 1), rel=1e-9)
+
     def test_moments_against_simulation(self):
         # draw p, then two conditionally i.i.d. signals; the empirical
         # conditionals must agree with the closed forms within 3 sigma

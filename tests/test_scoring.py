@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from peerpredict import (BRIER, DegenerateMatrix, GenerativeModel, LineSet, NotStrict,
-                         OutOfRange, PayoffMatrix, ScoringRule, break_even, brier,
-                         convex_generator, equilibrium_set, lineset_from_k_qstar,
-                         lineset_to_matrix, matrix_from_rule, normalize,
-                         prior_from_model, shifted_brier)
+                         OutOfRange, PayoffMatrix, ScoringRule, brier, convex_generator,
+                         equilibrium_set, lineset_from_k_qstar, lineset_to_matrix,
+                         matrix_from_rule, normalize, prior_from_model)
 
 RESTAURANT = prior_from_model(GenerativeModel.uniform(0.4, 0.8, 10))
 
@@ -17,6 +16,16 @@ def grid_argmax_is_proper(rule: ScoringRule, grid=None) -> bool:
     scores = np.array([[rule.score(1.0, q) * p + rule.score(0.0, q) * (1 - p) for q in grid]
                        for p in grid])
     return bool(np.all(np.argmax(scores, axis=1) == np.arange(len(grid))))
+
+
+def shifted_brier(c: float) -> ScoringRule:
+    """Brier with both arguments shifted by c before evaluation."""
+
+    def raw(report, q):
+        p, s = report - c, q - c
+        return 2.0 * p * s + 2.0 * (1.0 - p) * (1.0 - s) - s * s - (1.0 - s) * (1.0 - s)
+
+    return ScoringRule(value0=lambda q: raw(0.0, q), value1=lambda q: raw(1.0, q))
 
 
 class TestBrier:
@@ -53,7 +62,7 @@ class TestBrier:
 
 class TestBreakEven:
     def test_brier_restaurant(self):
-        qs = break_even(BRIER, RESTAURANT)
+        qs = matrix_from_rule(BRIER, RESTAURANT).qstar()
         assert qs == pytest.approx(107 / 180, abs=1e-12)
         assert RESTAURANT.q10 < qs < RESTAURANT.q11
 
@@ -63,7 +72,7 @@ class TestBreakEven:
 
     def test_shifted_brier_same_break_even(self):
         rule = shifted_brier(0.17)
-        qs = break_even(rule, RESTAURANT)
+        qs = matrix_from_rule(rule, RESTAURANT).qstar()
         # bisection oracle on PS(., q11) - PS(., q10)
         lo, hi = 0.0, 1.0
         f = lambda z: rule.score(z, RESTAURANT.q11) - rule.score(z, RESTAURANT.q10)
@@ -74,12 +83,12 @@ class TestBreakEven:
             else:
                 lo = mid
         assert qs == pytest.approx((lo + hi) / 2, abs=1e-10)
-        assert qs == pytest.approx(break_even(BRIER, RESTAURANT), abs=1e-10)
+        assert qs == pytest.approx(matrix_from_rule(BRIER, RESTAURANT).qstar(), abs=1e-10)
 
     def test_constant_rule_not_strict(self):
         flat = ScoringRule(value0=lambda q: 1.0, value1=lambda q: 1.0)
         with pytest.raises(NotStrict):
-            break_even(flat, RESTAURANT)
+            matrix_from_rule(flat, RESTAURANT).qstar()
 
     def test_strictly_inside_conditionals_random(self):
         # strict rules on positively correlated priors break even strictly
@@ -91,7 +100,7 @@ class TestBreakEven:
             from peerpredict import prior_from_conditionals
             prior = prior_from_conditionals(q11, q10)
             c = rng.uniform(-0.3, 0.3)
-            qs = break_even(shifted_brier(c), prior)
+            qs = matrix_from_rule(shifted_brier(c), prior).qstar()
             assert prior.q10 < qs < prior.q11
 
     def test_generator_rule_recovers_qstar(self):
@@ -99,7 +108,7 @@ class TestBreakEven:
         prior = prior_from_conditionals(0.8, 0.45)
         ls = LineSet(alpha=1.0, beta=-1.0, qstar=0.5, gamma=0.0)
         rule = convex_generator(ls, prior)
-        assert break_even(rule, prior) == pytest.approx(0.5, abs=1e-12)
+        assert matrix_from_rule(rule, prior).qstar() == pytest.approx(0.5, abs=1e-12)
 
 
 class TestMatrices:
@@ -225,7 +234,7 @@ class TestConvexGenerator:
         rule = convex_generator(ls, prior)
         xs = np.linspace(0.0, 1.0, 41)
         for x in xs:
-            assert rule.generator(x) == pytest.approx(rule.generator(1.0 - x), abs=1e-12)
+            assert rule.score(x, x) == pytest.approx(rule.score(1.0 - x, 1.0 - x), abs=1e-12)
 
     def test_properness_on_grid(self):
         ls = LineSet(alpha=0.8, beta=-0.6, qstar=0.6, gamma=0.1)
@@ -242,6 +251,6 @@ class TestConvexGenerator:
         ls = LineSet(alpha=1.3, beta=-0.4, qstar=0.58, gamma=-0.2)
         rule = convex_generator(ls, RESTAURANT)
         xs = np.linspace(0.0, 1.0, 201)
-        vals = np.array([rule.generator(x) for x in xs])
+        vals = np.array([rule.score(x, x) for x in xs])  # the generator: truthful expected score
         second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
         assert np.all(second > -1e-12)

@@ -239,14 +239,19 @@ class TestMonteCarlo:
         c = monte_carlo(model, spec, profile, trials=30000, seed=100)
         assert a.means != c.means
 
-    def test_worker_count_invariance(self, monkeypatch):
-        model = GenerativeModel.uniform(0.4, 0.8, 5)
-        spec = MechanismSpec(matrix=BRIER_MATRIX, n_agents=5)
-        profile = [(0.3, 0.7)] * 5
-        base = monte_carlo(model, spec, profile, trials=200000, seed=4)
-        monkeypatch.setenv("PEERPREDICT_THREADS", "4")
-        threaded = monte_carlo(model, spec, profile, trials=200000, seed=4)
-        assert base == threaded
+    def test_seed_and_trials_must_be_integers_in_range(self):
+        model = GenerativeModel.uniform(0.4, 0.8, 3)
+        spec = MechanismSpec(matrix=BRIER_MATRIX, n_agents=3)
+        profile = [(0.0, 1.0)] * 3
+        for seed in (-1, 2 ** 64, np.int64(-1), 3.0, np.float64(3), True, None):
+            with pytest.raises(OutOfRange, match="seed"):
+                monte_carlo(model, spec, profile, trials=100, seed=seed)
+        with pytest.raises(OutOfRange, match="trials"):
+            monte_carlo(model, spec, profile, trials=100.5, seed=0)
+        # numpy integers read as Python ints: the same stream, a JSON-ready seed
+        a = monte_carlo(model, spec, profile, trials=100, seed=2 ** 64 - 1)
+        b = monte_carlo(model, spec, profile, trials=np.int64(100), seed=np.uint64(2 ** 64 - 1))
+        assert a == b and type(b.seed) is int and type(b.trials) is int
 
     def test_oracle_agreement_random_pairs(self):
         rng = np.random.default_rng(12)
