@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import OutOfRange, OutsideHull
-from .prior import Prior
+from .prior import Prior, _resolution
 from .scoring import LineSet, PayoffMatrix
 
 QUADRANT_TOL = 1e-12
@@ -307,8 +307,7 @@ def hull_report(prior: Prior, qstar: float) -> HullReport:
 def plot_data(prior: Prior, ls: LineSet, resolution: int) -> list[tuple[float, float, str, float]]:
     """Uniform strategy-grid sample of the best-response plot; rows are
     (x, y, quadrant, payoff), suitable for external rendering."""
-    if resolution < 2:
-        raise OutOfRange(f"resolution must be at least 2, got {resolution}")
+    resolution = _resolution(resolution, 2)
     rows = []
     step = 1.0 / (resolution - 1)
     for i in range(resolution):

@@ -78,25 +78,27 @@ class MechanismSpec:
 class PaymentRound:
     """One round of collected reports; reports[i] is agent i's bit, or a
     length-d bit vector in the multidimensional mechanism.  `bits` holds the
-    validated reports as n lists of d ints."""
+    validated reports as n lists of d ints, `ones` the number of agents whose first bit is 1."""
 
     reports: tuple
     seed: int = 0
     round_id: int = 0
     bits: list = field(init=False, repr=False, compare=False)
+    ones: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        import numpy as np
-
-        try:
-            bits = np.array(self.reports).reshape(len(self.reports), -1)
-        except ValueError:  # ragged or empty
-            raise OutOfRange("every agent row needs the same number of bit columns") from None
-        if bits.dtype.kind not in "biu" or not ((bits == 0) | (bits == 1)).all():
-            raise OutOfRange(f"reports must be bits, got {self.reports!r}")
+        def seq(r):  # a tuple, a list or a numpy array of at least one dimension
+            return isinstance(r, (tuple, list)) or getattr(r, "ndim", 0) > 0
+        rows = [r if seq(r) else (r,) for r in self.reports] if seq(self.reports) else []
+        # a bit: 0 or 1 as an int, a bool, or a numpy integer or bool scalar (ndim 0)
+        bits = [[int(b) if (isinstance(b, int) or getattr(b, "ndim", 1) == 0 and b.dtype.kind in "biu")
+                 and b in (0, 1) else -1 for b in row] for row in rows]
+        if not (bits and bits[0] and all(len(r) == len(bits[0]) and -1 not in r for r in bits)):
+            raise OutOfRange(f"reports must be n rows of d >= 1 bits each, got {self.reports!r:.200}")
         for name in ("seed", "round_id"):
             object.__setattr__(self, name, _uint64(getattr(self, name), name))
-        object.__setattr__(self, "bits", bits.tolist())
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "ones", sum(row[0] for row in bits))
 
     @classmethod
     def from_csv(cls, text: str, seed: int = 0, round_id: int = 0) -> "PaymentRound":
@@ -139,20 +141,16 @@ def _philox(key: int, rid, i: int):
 def _pay(spec: MechanismSpec, rnd: PaymentRound, i: int, rid, punish: bool):
     """Agent i's payment in round rid, or their float64 array over a uint64 array rid:
     h_k[peer report, own report] on a uniformly drawn dimension k against a uniformly
-    drawn peer, minus the punishment when `punish` is set and all others reported alike.
+    drawn peer, minus the punishment when `punish` is set and all others reported alike
+    (a punished spec has d = 1, so the others' 1 reports number rnd.ones - bits[i][0]).
     The draws are words 0 and 1 of the Philox stream keyed by the seed at counter
     (0, 0, round id, agent); word 0 picks k when d > 1, the last word drawn the peer."""
-    import numpy as np
-
     n, d, bits = spec.n_agents, spec.dimensions, rnd.bits
     i = _integer(i, "agent index")
     if not 0 <= i < n or len(bits) != n or len(bits[0]) != d:
         raise IndexOutOfRange(f"agent {i} / {len(bits)} reports of width {len(bits[0])} "
                               f"vs n={n}, d={d}")
-    penalty = 0.0
-    if punish and spec.punishment > 0.0:  # the spec allows punishment only when d = 1
-        others = sum(row[0] for row in bits) - bits[i][0]
-        penalty = spec.punishment if others in (0, n - 1) else 0.0
+    penalty = spec.punishment if punish and rnd.ones - bits[i][0] in (0, n - 1) else 0.0
     # cols[k][peer report]: agent i's payment on dimension k
     cols = [[spec.matrix_for(k).payment(pb, bits[i][k]) - penalty for pb in (0, 1)]
             for k in range(d)]
@@ -160,7 +158,10 @@ def _pay(spec: MechanismSpec, rnd: PaymentRound, i: int, rid, punish: bool):
     # modulo bias is O(n / 2^64), far below payment precision
     k, j = w0 % d, (w1 if d > 1 else w0) % (n - 1)
     j += j >= i
-    return cols[k][bits[j][k]] if isinstance(rid, int) else np.array(cols)[k, np.array(bits)[j, k]]
+    if isinstance(rid, int):
+        return cols[k][bits[j][k]]
+    import numpy as np
+    return np.array(cols)[k, np.array(bits)[j, k]]
 
 
 def ppm_pay(spec: MechanismSpec, rnd: PaymentRound, i: int) -> float:
@@ -241,9 +242,14 @@ def all_same_report_probability(model: GenerativeModel,
     """Probability that every listed agent reports the same bit, under
     conditionally i.i.d. signals: E[prod r_j(p)] + E[prod (1 - r_j(p))] with
     r_j(p) = (1 - p) t0_j + p t1_j, exact as a sum of nonnegative terms."""
-    groups = Counter(map(tuple, strategies))
-    if not all(0.0 <= t <= 1.0 for s in groups for t in s):
-        raise OutOfRange(f"report rates must lie in [0,1], got {list(groups)!r}")
+    try:
+        groups = Counter(map(tuple, strategies))
+        ok = groups and all(len(s) == 2 and all(0.0 <= t <= 1.0 for t in s) for s in groups)
+    except TypeError:  # an entry that is not a pair of numbers
+        ok = False
+    if not ok:
+        raise OutOfRange("strategies must be a non-empty list of (t0, t1) report rates in [0,1], "
+                         f"got {strategies!r:.200}")
     return sum(_all_ones(model, [(abs(f - t0), abs(f - t1), c) for (t0, t1), c in groups.items()])
                for f in (0.0, 1.0))  # f = 1 turns each rate into its report-0 rate
 

@@ -214,6 +214,15 @@ def _uint64(value, name: str) -> int:
     return word
 
 
+def _resolution(value, low: int, high: int = 2001) -> int:
+    """A grid resolution as a Python int in [low, high], read through _integer.  A grid
+    holds resolution**2 cells, so the default cap of 2,001 (4 million cells) bounds its memory."""
+    resolution = _integer(value, "resolution")
+    if not low <= resolution <= high:
+        raise OutOfRange(f"resolution must lie in [{low}, {high}], got {resolution}")
+    return resolution
+
+
 def _number(value, name: str, cast=float):
     """cast(value) for a JSON number or numeric string; cast=int reads a number
     through _integer.  A null, boolean, list or object raises OutOfRange naming

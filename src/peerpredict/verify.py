@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import OutOfRange
 from .mechanism import MechanismSpec
-from .prior import GenerativeModel, Prior, _integer, _uint64
+from .prior import GenerativeModel, Prior, _integer, _resolution, _uint64
 from .scoring import PayoffMatrix
 
 GAIN_TOLERANCE = 1e-6
@@ -131,8 +131,7 @@ def grid_scan(prior: Prior, pf: PayoffMatrix, resolution: int,
               gain_tolerance: float = GAIN_TOLERANCE) -> list[Cluster]:
     """Near-equilibrium symmetric strategies on a grid, grouped into
     connected components (4-neighborhood)."""
-    if resolution < 11:
-        raise OutOfRange(f"resolution must be at least 11, got {resolution}")
+    resolution = _resolution(resolution, 11)
     ts, gain = symmetric_gain_grid(prior, pf, resolution)
     mask = gain < gain_tolerance
     seen = np.zeros_like(mask, dtype=bool)
@@ -168,8 +167,9 @@ def product_scan(prior: Prior, pf: PayoffMatrix, n: int, resolution: int,
     """Exhaustive per-agent product-grid scan for (near-)equilibria with
     possibly unequal strategies; n <= 3 and resolution <= 21 keep the
     combinatorics manageable.  Returns sorted strategy multisets."""
-    if n not in (2, 3) or not 2 <= resolution <= 21:
-        raise OutOfRange("product scans support n in {2,3} and resolution in [2, 21]")
+    if n not in (2, 3):
+        raise OutOfRange(f"product scans support n in {{2,3}}, got {n}")
+    resolution = _resolution(resolution, 2, 21)
     ts = np.linspace(0.0, 1.0, resolution)
     strategies = np.array([(a, b) for a in ts for b in ts])
     m = len(strategies)

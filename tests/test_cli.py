@@ -280,3 +280,11 @@ class TestOtherVerbs:
         best_rival = max(e["payoff"] for e in out["equilibria"]
                          if e["label"] not in ("Truth", "Zero", "One"))
         assert abs(float(p3.stdout) - (truth - best_rival)) < 1e-9
+
+
+@pytest.mark.parametrize("verb", ["plot", "verify"])
+def test_resolution_above_cap_exits_1(verb):
+    # a 2,002 x 2,002 grid is refused before any of it is allocated
+    p = run_cli(verb, "--prior", UNIFORM_PRIOR, "--matrix", MATRIX, "--resolution", "2002")
+    assert p.returncode == 1
+    assert "OutOfRange: resolution must lie in" in p.stderr and p.stdout == ""

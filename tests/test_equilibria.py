@@ -283,6 +283,15 @@ class TestHullReport:
 
 
 class TestPlotData:
+    @pytest.mark.parametrize("resolution", [1, 2.5, 2002, "11", None])
+    def test_rejects_resolution(self, resolution):
+        with pytest.raises(OutOfRange):
+            plot_data(RESTAURANT, BRIER_MATRIX.lineset(), resolution)
+
+    def test_integral_float_resolution(self):
+        ls = BRIER_MATRIX.lineset()
+        assert plot_data(RESTAURANT, ls, 3.0) == plot_data(RESTAURANT, ls, 3)
+
     def test_corners_and_center(self):
         ls = BRIER_MATRIX.lineset()
         rows = plot_data(RESTAURANT, ls, 3)

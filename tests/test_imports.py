@@ -1,6 +1,6 @@
 """The analytic path never loads numpy: importing the package, running the six
-analytic CLI verbs, and pricing the punished mechanism's equilibria leave numpy
-and the oracles out of sys.modules.
+analytic CLI verbs, pricing the punished mechanism's equilibria and paying single
+rounds leave numpy and the oracles out of sys.modules.
 Each check runs in a fresh interpreter, since this test process has numpy."""
 import subprocess
 import sys
@@ -77,6 +77,23 @@ def test_punished_payoffs_are_numpy_free():
             assert "Truth" in mppm_equilibrium_payoffs(build_mppm(model))
         assert "numpy" not in sys.modules
         assert "peerpredict.verify" not in sys.modules
+    """)
+
+
+def test_single_round_payments_are_numpy_free():
+    run_python(r"""
+        import sys
+        from peerpredict import (GenerativeModel, MechanismSpec, PaymentRound, PayoffMatrix,
+                                 build_mppm, mppm_pay, multidim_pay, ppm_pay)
+        spec = build_mppm(GenerativeModel.uniform(0.4, 0.8, 5))
+        rnd = PaymentRound.from_csv("1\n1\n1\n1\n1\n", seed=3, round_id=9)
+        assert mppm_pay(spec, rnd, 0) == ppm_pay(spec, rnd, 0) - spec.punishment
+        matrix = PayoffMatrix(1.0, 0.2, 0.1, 0.7)
+        spec_d2 = MechanismSpec(matrix=matrix, n_agents=3,
+                                dim_matrices=(matrix, PayoffMatrix(0.9, 0.0, 0.1, 0.6)))
+        rnd_d2 = PaymentRound(reports=((1, 0), (0, 0), (1, 1)), seed=5, round_id=2)
+        assert ppm_pay(spec_d2, rnd_d2, 1) == multidim_pay(spec_d2, rnd_d2, 1)
+        assert "numpy" not in sys.modules
     """)
 
 

@@ -386,6 +386,13 @@ class TestExactAlike:
             with pytest.raises(OutOfRange):
                 all_same_report_probability(MODEL_0509, bad)
 
+    @pytest.mark.parametrize("bad", [[], [(0.1,)], [0.1], [(0.1, 0.2, 0.3)], [("a", "b")],
+                                     [(0.2, 0.9), None], None])
+    def test_rejects_entries_that_are_not_rate_pairs(self, bad):
+        # an empty list would otherwise sum two empty products to a "probability" of 2
+        with pytest.raises(OutOfRange):
+            all_same_report_probability(MODEL_0509, bad)
+
 
 class TestMppmFocality:
     def test_truth_decrease_bounded_by_eps_times_p(self):
@@ -478,6 +485,67 @@ class TestMultidim:
         spec = MechanismSpec(matrix=MATRIX, n_agents=5, punishment=0.3, model=MODEL_0509)
         again = MechanismSpec.from_dict(spec.to_dict())
         assert again == spec
+
+
+D1, D2 = [[1], [0], [1]], [[1, 0], [0, 0], [1, 1]]
+ACCEPTED_REPORTS = {
+    "ints": ((1, 0, 1), D1),
+    "bools": ((True, False, True), D1),
+    "numpy integers": ((np.int64(1), np.uint8(0), np.int32(1)), D1),
+    "numpy bools": ((np.True_, np.False_, np.True_), D1),
+    "list": ([1, 0, 1], D1),
+    "1-D array": (np.array([1, 0, 1]), D1),
+    "1-D bool array": (np.array([True, False, True]), D1),
+    "tuple rows": (((1, 0), (0, 0), (1, 1)), D2),
+    "list rows": ([[1, 0], [0, 0], [1, 1]], D2),
+    "bool rows": (((True, False), (False, False), (True, True)), D2),
+    "1-D array rows": ((np.array([1, 0]), np.array([0, 0]), np.array([1, 1])), D2),
+    "2-D array": (np.array([[1, 0], [0, 0], [1, 1]]), D2),
+}
+REJECTED_REPORTS = {
+    "floats": (1.0, 0.0, 1.0),
+    "numpy float64": (np.float64(1.0), np.float64(0.0)),
+    "numpy float32": (np.float32(1.0), np.float32(0.0)),
+    "float array": np.array([1.0, 0.0, 1.0]),
+    "float rows": ((1.0, 0.0), (0.0, 1.0)),
+    "str entries": ("1", "0", "1"),
+    "str": "101",
+    "bytes rows": (b"\x01", b"\x00"),
+    "bytes": b"\x01\x00",
+    "None entry": (1, None, 0),
+    "None": None,
+    "not bits": (1, 2, 0),
+    "negative": (-1, 0, 1),
+    "ragged rows": ((1, 0), (1,)),
+    "empty": (),
+    "zero-width rows": ((), (), ()),
+    "zero-width array": np.zeros((3, 0), dtype=int),
+    "rows nested deeper than bits": (((0, 1),), ((1, 0),)),
+    "3-D array": np.zeros((3, 1, 1), dtype=int),
+}
+
+
+class TestPaymentRoundInputs:
+    @pytest.mark.parametrize("reports, bits", ACCEPTED_REPORTS.values(), ids=ACCEPTED_REPORTS)
+    def test_accepted(self, reports, bits):
+        rnd = PaymentRound(reports=reports, seed=np.uint64(4), round_id=2)
+        assert rnd.bits == bits and {type(b) for row in rnd.bits for b in row} == {int}
+        assert rnd.ones == sum(row[0] for row in bits)
+        spec = MechanismSpec(matrix=MATRIX, n_agents=3,
+                             dim_matrices=(MATRIX, MATRIX_B) if len(bits[0]) == 2 else ())
+        plain = PaymentRound(reports=tuple(tuple(row) for row in bits), seed=4, round_id=2)
+        assert [ppm_pay(spec, rnd, i) for i in range(3)] == [ppm_pay(spec, plain, i)
+                                                             for i in range(3)]
+
+    @pytest.mark.parametrize("reports", REJECTED_REPORTS.values(), ids=REJECTED_REPORTS)
+    def test_rejected(self, reports):
+        with pytest.raises(OutOfRange):
+            PaymentRound(reports=reports)
+
+    def test_ones_counts_first_bits(self):
+        for reports in ((0, 0, 0), (1, 1, 1), (0, 1, 1, 0, 1)):
+            assert PaymentRound(reports=reports).ones == sum(reports)
+        assert PaymentRound(reports=((1, 0), (0, 1), (1, 1))).ones == 2
 
 
 class TestRoundsFromCsv:

@@ -84,6 +84,14 @@ class TestDeviationGain:
 
 
 class TestGridScan:
+    @pytest.mark.parametrize("resolution", [10, 11.5, 2002, True])
+    def test_rejects_resolution(self, resolution):
+        with pytest.raises(OutOfRange):
+            grid_scan(RESTAURANT, BRIER_MATRIX, resolution)
+
+    def test_integral_float_resolution(self):
+        assert grid_scan(RESTAURANT, BRIER_MATRIX, 21.0) == grid_scan(RESTAURANT, BRIER_MATRIX, 21)
+
     def test_no_clusters_away_from_enumerated(self):
         # with the default tolerance only machine-zero gains survive, so the
         # scan can only pick up neighborhoods of true equilibria
@@ -174,9 +182,13 @@ class TestProductScan:
             assert [tuple(map(tuple, p)) for p in got] == expect
 
     def test_rejects_unsupported_sizes(self):
-        for n, resolution in ((2, 0), (2, 1), (3, 1), (4, 5), (3, 22)):
+        for n, resolution in ((2, 0), (2, 1), (3, 1), (4, 5), (3, 22), (2, 3.5), (2, 2002)):
             with pytest.raises(OutOfRange):
                 product_scan(RESTAURANT, BRIER_MATRIX, n=n, resolution=resolution)
+
+    def test_integral_float_resolution(self):
+        assert product_scan(RESTAURANT, BRIER_MATRIX, 2, 3.0) == \
+            product_scan(RESTAURANT, BRIER_MATRIX, 2, 3)
 
 
 class TestDeviationReport:
