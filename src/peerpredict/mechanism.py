@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 from .equilibria import equilibrium_set
 from .errors import IndexOutOfRange, NeverFocal, OutOfRange
-from .prior import (GenerativeModel, _integer, _number, _uint64, epsilon_q, model_from_dict,
-                    prior_from_model)
+from .prior import (GenerativeModel, _integer, _log_beta_moment, _number, _uint64, epsilon_q,
+                    model_from_dict, prior_from_model)
 from .scoring import PayoffMatrix
 
 
@@ -103,7 +103,10 @@ class PaymentRound:
     @classmethod
     def from_csv(cls, text: str, seed: int = 0, round_id: int = 0) -> "PaymentRound":
         """Parse reports from CSV: one row per agent, d columns of bits."""
-        rows = [tuple(int(cell) for cell in line.split(",")) for line in text.strip().splitlines()]
+        try:
+            rows = [tuple(int(cell) for cell in line.split(",")) for line in text.strip().splitlines()]
+        except ValueError:  # a cell that is not an integer literal, or a blank line
+            raise OutOfRange(f"CSV reports must be integer cells, got {text!r:.200}") from None
         return cls(reports=tuple(r[0] if len(r) == 1 else r for r in rows),
                    seed=seed, round_id=round_id)
 
@@ -218,22 +221,14 @@ def min_agents_focal(model: GenerativeModel, t: float, delta_star: float,
     def ok(n: int) -> bool:
         return focality_condition(epsilon_q(model.with_agents(n)), t, delta_star)
 
-    if ok(2):
-        return 2
-    hi = 4
-    while hi <= n_max and not ok(hi):
-        hi *= 2
-    if hi > n_max:
-        if not ok(n_max):
+    lo, hi = 1, 2  # ok(lo) is False, or lo = 1, below every agent count
+    while not ok(hi):
+        if hi == n_max:
             raise NeverFocal(f"focality condition still fails at n = {n_max}")
-        hi = n_max
-    lo = hi // 2  # ok(lo) is False, ok(hi) is True
+        lo, hi = hi, min(2 * hi, n_max)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
     return hi
 
 
@@ -250,8 +245,16 @@ def all_same_report_probability(model: GenerativeModel,
     if not ok:
         raise OutOfRange("strategies must be a non-empty list of (t0, t1) report rates in [0,1], "
                          f"got {strategies!r:.200}")
-    return sum(_all_ones(model, [(abs(f - t0), abs(f - t1), c) for (t0, t1), c in groups.items()])
-               for f in (0.0, 1.0))  # f = 1 turns each rate into its report-0 rate
+    pi0, pi1 = _alike(model, [(t0, t1, c) for (t0, t1), c in groups.items()])
+    return pi1 + pi0
+
+
+def _alike(model: GenerativeModel, groups: list) -> tuple:
+    """(pi0, pi1): the probabilities that all agents of the (t0, t1, c) groups, c agents each
+    reporting 1 at rate (1 - p) t0 + p t1, report 0, and that all report 1.  0.0 + t reads
+    an int rate as a float, as 1.0 - t does."""
+    return (_all_ones(model, [(1.0 - t0, 1.0 - t1, c) for t0, t1, c in groups]),
+            _all_ones(model, [(0.0 + t0, 0.0 + t1, c) for t0, t1, c in groups]))
 
 
 def _all_ones(model: GenerativeModel, groups: list) -> float:
@@ -276,13 +279,11 @@ def _all_ones(model: GenerativeModel, groups: list) -> float:
         coef = g if not coef else [
             sum(coef[i] * g[k - i] * (math.comb(m, i) * math.comb(c, k - i) / math.comb(m + c, k))
                 for i in range(max(0, k - c), min(m, k) + 1)) for k in range(m + c + 1)]
-    # The pmf steps inward from both ends, P_{a,b}(k) = P_{b,a}(c - k), starting from the
-    # closed form E[(1-u)^c]: GenerativeModel.moment's lgamma expression, or 1/(c+1) for the
-    # uniform u.  A running log scale keeps the stepped pmf clear of overflow and underflow.
+    # The pmf steps inward from both ends, P_{a,b}(k) = P_{b,a}(c - k), from E[(1-u)^c] (1 - u is
+    # Beta(b, a), or 1/(c+1) for uniform u) under a log scale that keeps it from over/underflow.
     c, total = len(coef) - 1, 0.0
     for s, t, d, steps in ((a, b, coef, c // 2), (b, a, coef[::-1], c - 1 - c // 2)):
-        scale = -math.log1p(c) if uniform else (
-            math.lgamma(t + c) - math.lgamma(t) + math.lgamma(s + t) - math.lgamma(s + t + c))
+        scale = -math.log1p(c) if uniform else _log_beta_moment(t, s, c)
         v, acc = 1.0, d[0]
         for k in range(steps):
             v *= (c - k) * (s + k) / ((k + 1) * (t + c - k - 1))
@@ -293,19 +294,22 @@ def _all_ones(model: GenerativeModel, groups: list) -> float:
     return const * total
 
 
+def _rival_table(model: GenerativeModel, matrix: PayoffMatrix, n: int) -> dict:
+    """{label: (u, pi0, pi1)} over the matrix's equilibria: the unpunished payoff u and the
+    probabilities that all n - 1 other agents playing the equilibrium report 0, and 1."""
+    eqs = equilibrium_set(prior_from_model(model), matrix).equilibria
+    return {e.label: (e.payoff, *_alike(model, [(e.strategy.t0, e.strategy.t1, n - 1)])) for e in eqs}
+
+
 def mppm_equilibrium_payoffs(spec: MechanismSpec) -> dict:
     """Expected per-agent payoff of every enumerated equilibrium under the
     punished mechanism, computed analytically from the generative model."""
     if spec.model is None:
         raise OutOfRange("equilibrium payoffs under punishment need the generative model")
-    prior = prior_from_model(spec.model)
-    eqs = equilibrium_set(prior, spec.matrix)
-    m = spec.n_agents - 1
-    out = {}
-    for e in eqs.equilibria:
-        p_same = all_same_report_probability(spec.model, [(e.strategy.t0, e.strategy.t1)] * m)
-        out[e.label] = e.payoff - spec.punishment * p_same
-    return out
+    if spec.dim_matrices:
+        raise OutOfRange("equilibrium payoffs need a single-bit spec; d > 1 pays dim_matrices")
+    return {label: u - spec.punishment * (pi1 + pi0)
+            for label, (u, pi0, pi1) in _rival_table(spec.model, spec.matrix, spec.n_agents).items()}
 
 
 def build_mppm(model: GenerativeModel, epsilon: Optional[float] = None) -> MechanismSpec:

@@ -131,9 +131,7 @@ class GenerativeModel:
 
     def moment(self, k: int, complement: bool = False) -> float:
         """E[p^k], or E[(1-p)^k] when complement is set; closed form per kind.
-        For beta, orders 1 and 2 are the plain ratios a/(a+b) and
-        a(a+1)/((a+b)(a+b+1)); higher orders use lgamma, which loses digits
-        to cancellation when a + b + k is large."""
+        Beta orders 1 and 2 are plain ratios, higher ones _log_beta_moment."""
         if k < 0:
             raise OutOfRange("moment order must be non-negative")
         if k == 0:
@@ -147,9 +145,7 @@ class GenerativeModel:
                 return a / (a + b)
             if k == 2:
                 return a * (a + 1.0) / ((a + b) * (a + b + 1.0))
-            return math.exp(
-                math.lgamma(a + k) - math.lgamma(a) + math.lgamma(a + b) - math.lgamma(a + b + k)
-            )
+            return math.exp(_log_beta_moment(a, b, k))
         ps = [1.0 - p for p in self.points] if complement else self.points
         return sum(w * p ** k for w, p in zip(self.weights, ps))
 
@@ -181,6 +177,11 @@ def prior_from_model(model: GenerativeModel) -> Prior:
     if q11 <= q10:
         raise DegenerateModel("model variance is zero; induced prior is not positively correlated")
     return Prior(q11=q11, q10=q10)
+
+
+def _log_beta_moment(a: float, b: float, k: int) -> float:
+    """log E[u^k] for u ~ Beta(a, b); its lgamma terms lose digits when a + b + k is large."""
+    return math.lgamma(a + k) - math.lgamma(a) + math.lgamma(a + b) - math.lgamma(a + b + k)
 
 
 def epsilon_q(model: GenerativeModel) -> float:

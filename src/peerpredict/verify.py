@@ -112,7 +112,7 @@ def deviation_gain_product(priors: Sequence[Prior], matrices: Sequence[PayoffMat
 def symmetric_gain_grid(prior: Prior, pf: PayoffMatrix, resolution: int):
     """Deviation gain of every symmetric profile on a resolution^2 strategy
     grid (independent of n: the peer average equals the shared strategy)."""
-    ts = np.linspace(0.0, 1.0, resolution)
+    ts = np.linspace(0.0, 1.0, _resolution(resolution, 2))
     t0, t1 = ts[:, None], ts[None, :]
     x = t0 * prior.q00 + t1 * prior.q10
     y = t0 * prior.q01 + t1 * prior.q11

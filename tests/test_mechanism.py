@@ -4,14 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from peerpredict import (GenerativeModel, MechanismSpec, NeverFocal, OutOfRange,
+from peerpredict import (BRIER, GenerativeModel, MechanismSpec, NeverFocal, OutOfRange,
                          PaymentRound, PayoffMatrix, all_same_report_probability,
                          build_mppm, epsilon_q, equilibrium_set, focality_condition,
-                         min_agents_focal, mppm_equilibrium_payoffs, mppm_pay,
+                         matrix_from_rule, min_agents_focal, mppm_equilibrium_payoffs, mppm_pay,
                          multidim_pay, optimal_mechanism, ppm_pay, prior_from_model,
                          punishment_level, renormalized)
 from peerpredict import IndexOutOfRange
-from peerpredict.mechanism import _philox, ppm_pay_rounds
+from peerpredict.mechanism import _philox, _rival_table, ppm_pay_rounds
 
 MATRIX = PayoffMatrix(h11=1.0, h10=0.2, h01=0.1, h00=0.7)
 MATRIX_B = PayoffMatrix(0.9, 0.0, 0.1, 0.6)
@@ -381,6 +381,40 @@ class TestExactAlike:
         value = all_same_report_probability(GenerativeModel.beta(a, b, 2), [(0.99, 1.0)] * 20000)
         assert value == pytest.approx(expect, rel=1e-9)
 
+    @staticmethod
+    def exact_row(model, t0, t1, m):
+        """(pi0, pi1) for m agents playing (t0, t1), in Fraction arithmetic over the
+        model's own float parameters: the mean of r(p)^m with r(p) = t0 + (t1 - t0) p."""
+        def mean_power(t0, t1):
+            if model.kind == "discrete":
+                return sum(Fraction(w) * (t0 + (t1 - t0) * Fraction(p)) ** m
+                           for w, p in zip(model.weights, model.points))
+            if t0 == t1:
+                return t0 ** m
+            a, b = Fraction(model.a), Fraction(model.b)
+            r_a, r_b = t0 + (t1 - t0) * a, t0 + (t1 - t0) * b
+            return (r_b ** (m + 1) - r_a ** (m + 1)) / ((m + 1) * (t1 - t0) * (b - a))
+        t0, t1 = Fraction(t0), Fraction(t1)
+        return mean_power(1 - t0, 1 - t1), mean_power(t0, t1)
+
+    @pytest.mark.parametrize("model", [MODEL_0509, GenerativeModel.discrete(
+        (0.1, 0.5, 0.9), (1, 2, 3), 2)], ids=["uniform", "discrete"])
+    @pytest.mark.parametrize("n", [2, 5, 40, 400])
+    def test_rival_table_rows(self, model, n):
+        prior = prior_from_model(model)
+        optimal = optimal_mechanism(prior, epsilon=1e-6).mechanism
+        for matrix in (matrix_from_rule(BRIER, prior), optimal):
+            eqs, table = equilibrium_set(prior, matrix), _rival_table(model, matrix, n)
+            assert list(table) == list(eqs.labels())
+            spec = MechanismSpec(matrix=matrix, n_agents=n, punishment=0.7, model=model)
+            pays = mppm_equilibrium_payoffs(spec)
+            for e in eqs.equilibria:
+                u, pi0, pi1 = table[e.label]
+                assert u == e.payoff
+                exact = self.exact_row(model, e.strategy.t0, e.strategy.t1, n - 1)
+                assert (pi0, pi1) == pytest.approx(tuple(map(float, exact)), rel=1e-12), e.label
+                assert pays[e.label] == u - spec.punishment * (pi1 + pi0)
+
     def test_rejects_rates_outside_unit_interval(self):
         for bad in ([(0.0, 1.5)], [(-0.1, 0.5)], [(float("nan"), 0.5)], [(0.2, 0.9), (0.5, 2.0)]):
             with pytest.raises(OutOfRange):
@@ -481,6 +515,15 @@ class TestMultidim:
         with pytest.raises(OutOfRange):
             MechanismSpec(matrix=MATRIX, n_agents=3, punishment=float("nan"), model=MODEL_0509)
 
+    def test_equilibrium_payoffs_reject_d_above_1(self):
+        # a d > 1 spec pays dim_matrices, never spec.matrix, whose equilibria these would be
+        model = GenerativeModel.uniform(0.4, 0.8, 5)
+        brier = matrix_from_rule(BRIER, prior_from_model(model))
+        spec = MechanismSpec(matrix=optimal_mechanism(prior_from_model(model)).mechanism,
+                             n_agents=5, model=model, dim_matrices=(brier, brier))
+        with pytest.raises(OutOfRange):
+            mppm_equilibrium_payoffs(spec)
+
     def test_spec_round_trip(self):
         spec = MechanismSpec(matrix=MATRIX, n_agents=5, punishment=0.3, model=MODEL_0509)
         again = MechanismSpec.from_dict(spec.to_dict())
@@ -562,6 +605,12 @@ class TestRoundsFromCsv:
     def test_ragged_rejected(self):
         with pytest.raises(OutOfRange):
             PaymentRound.from_csv("1,0\n1\n")
+
+    @pytest.mark.parametrize("text", ["1\n1.0\n", "1\na\n", "1\n\n0\n", "1,0\n0,x\n"])
+    def test_non_integer_cells_rejected(self, text):
+        # a cell that is not an integer literal, or a blank line: bad reports, not a ValueError
+        with pytest.raises(OutOfRange):
+            PaymentRound.from_csv(text)
 
     def test_non_bit_rejected(self):
         with pytest.raises(OutOfRange):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,10 +10,27 @@ from peerpredict import (BRIER, GenerativeModel, LineSet, MechanismSpec, OutOfRa
                          expected_payoff, grid_scan, lineset_to_matrix,
                          matrix_from_rule, monte_carlo,
                          prior_from_conditionals, prior_from_model, product_scan,
-                         response_point)
+                         response_point, symmetric_gain_grid)
 
 RESTAURANT = prior_from_model(GenerativeModel.uniform(0.4, 0.8, 10))
 BRIER_MATRIX = matrix_from_rule(BRIER, RESTAURANT)
+
+
+def brute_force_gain(model, pf, profile, i, punishment):
+    """Agent i's best-response gain from its expected payment per own signal s and
+    report a, summed in closed form over the discrete model's support points with the
+    punishment included: given p, every other agent j reports 1 at rate
+    r_j = (1 - p) t0_j + p t1_j, independently of i's signal."""
+    others = profile[:i] + profile[i + 1:]
+    value = dict.fromkeys(itertools.product((0, 1), (0, 1)), 0.0)  # weighted by Pr(s)
+    for w, p in zip(model.weights, model.points):
+        r = [(1 - p) * t0 + p * t1 for t0, t1 in others]
+        alike = math.prod(r) + math.prod(1 - x for x in r)
+        for s, a in value:
+            peer = sum(x * pf.payment(1, a) + (1 - x) * pf.payment(0, a) for x in r) / len(r)
+            value[s, a] += w * (p if s else 1 - p) * (peer - punishment * alike)
+    return sum(max(value[s, 0], value[s, 1]) - (1 - t) * value[s, 0] - t * value[s, 1]
+               for s, t in enumerate(profile[i]))
 
 
 class TestDeviationGain:
@@ -73,6 +91,24 @@ class TestDeviationGain:
             assert plain == punished
             assert best_plain == best_pun
 
+    def test_punished_payments_by_brute_force(self):
+        # deviation_gain never reads the punishment; payments that include it must still
+        # give its gain, since Pr(others alike | own signal) does not depend on i's report
+        model = GenerativeModel.discrete([0.15, 0.55, 0.9], [0.3, 0.3, 0.4], 4)
+        pf = PayoffMatrix(h11=1.0, h10=0.2, h01=0.1, h00=0.7)
+        prior = prior_from_model(model)
+        rng = np.random.default_rng(31)
+        for n in (3, 4):
+            for trial in range(40):
+                # pure strategies first, where all-alike events are likeliest
+                profile = [tuple(map(float, (rng.integers(0, 2, size=2) if trial < 10
+                                             else rng.uniform(size=2)))) for _ in range(n)]
+                for i in range(n):
+                    g, _ = deviation_gain(prior, pf, profile, i)
+                    for punishment in (0.0, 0.8, 5.0):
+                        expect = brute_force_gain(model, pf, profile, i, punishment)
+                        assert g == pytest.approx(expect, abs=1e-12), (profile, i, punishment)
+
     def test_rejects_unscorable_profiles(self):
         for profile in ([(0.0, 1.0)], [], [(0.0, 1.0), (5.0, -3.0)],
                         [(0.0, 1.0), (float("nan"), 0.5)], [(0.0, 1.0), (0.2, np.inf)],
@@ -88,6 +124,11 @@ class TestGridScan:
     def test_rejects_resolution(self, resolution):
         with pytest.raises(OutOfRange):
             grid_scan(RESTAURANT, BRIER_MATRIX, resolution)
+        if resolution == 10:  # below grid_scan's floor of 11, but a plain grid needs only 2
+            assert symmetric_gain_grid(RESTAURANT, BRIER_MATRIX, resolution)[1].shape == (10, 10)
+        else:
+            with pytest.raises(OutOfRange):
+                symmetric_gain_grid(RESTAURANT, BRIER_MATRIX, resolution)
 
     def test_integral_float_resolution(self):
         assert grid_scan(RESTAURANT, BRIER_MATRIX, 21.0) == grid_scan(RESTAURANT, BRIER_MATRIX, 21)
