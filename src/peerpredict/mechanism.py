@@ -215,6 +215,9 @@ def min_agents_focal(model: GenerativeModel, t: float, delta_star: float,
 
     eps_q is decreasing in n for a non-degenerate model, so the threshold is
     found by doubling then bisecting."""
+    n_max = _integer(n_max, "n_max")
+    if n_max < 2:
+        raise OutOfRange(f"n_max must be at least 2, got {n_max}")
     if delta_star <= 0.0:
         raise NeverFocal("non-positive payoff gap; no punishment level works")
 

@@ -16,7 +16,8 @@ from .prior import GenerativeModel, Prior, _integer, _resolution, _uint64
 from .scoring import PayoffMatrix
 
 GAIN_TOLERANCE = 1e-6
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16   # Monte Carlo trials per block, halved while a block exceeds _CELLS
+_CELLS = 1 << 20   # elements per large temporary: 8 MiB of float64
 
 
 def _response_matrix(prior: Prior) -> np.ndarray:
@@ -176,10 +177,16 @@ def product_scan(prior: Prior, pf: PayoffMatrix, n: int, resolution: int,
     pts = strategies @ _response_matrix(prior)
 
     def best_responds(z: np.ndarray) -> np.ndarray:
-        # z: (k, 2) peer rates; ok[a, j]: own strategy a best-responds to z[j]
-        gain = _gain(prior, pf, z[None, :, 0], z[None, :, 1],
-                     strategies[:, 0:1], strategies[:, 1:2])[0]
-        return gain < gain_tolerance
+        # z: (k, 2) peer rates; ok[a, j]: own strategy a best-responds to z[j],
+        # filled _CELLS cells at a time so no gain temporary outgrows the budget
+        ok = np.empty((m, len(z)), dtype=bool)
+        step = max(1, _CELLS // m)
+        for j in range(0, len(z), step):
+            zc = z[j:j + step]
+            gain = _gain(prior, pf, zc[None, :, 0], zc[None, :, 1],
+                         strategies[:, 0:1], strategies[:, 1:2])[0]
+            ok[:, j:j + step] = gain < gain_tolerance
+        return ok
 
     if n == 2:
         ok = best_responds(pts)  # ok[a, b]: a best-responds to b
@@ -218,29 +225,33 @@ def _mc_block(model_list, spec: MechanismSpec, profile: np.ndarray,
     rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
     n, d = spec.n_agents, spec.dimensions
     ps = np.stack([_sample_p(model_list[k], rng, size) for k in range(d)], axis=1)  # (size, d)
-    signals = (rng.random((size, n, d)) < ps[:, None, :]).astype(np.int8)
-    t0 = profile[:, :, 0][None, :, :]  # (1, n, d)
-    t1 = profile[:, :, 1][None, :, :]
-    report_prob = t0 + (t1 - t0) * signals
-    reports = (rng.random((size, n, d)) < report_prob).astype(np.int8)
+    u = rng.random((size, n, d))
+    signals = u < ps[:, None, :]
+    rng.random(out=u)  # the report uniforms reuse the buffer
+    t0, t1 = profile[:, :, 0], profile[:, :, 1]  # (n, d)
+    # the rate given signal 1 stays t0 + (t1 - t0), which can differ from t1 in
+    # the last bit, so that a seed keeps its reports
+    reports = np.where(signals, u < t0 + (t1 - t0), u < t0).view(np.int8)
+    del u, signals
 
     peers = rng.integers(0, n - 1, size=(size, n))
     agent_ids = np.arange(n)[None, :]
-    peers = peers + (peers >= agent_ids)
-    dims = rng.integers(0, d, size=(size, n)) if d > 1 else np.zeros((size, n), dtype=np.int64)
+    peers += peers >= agent_ids
+    dims = rng.integers(0, d, size=(size, n)) if d > 1 else 0
 
     tables = np.array([[[spec.matrix_for(k).payment(pb, ob) for ob in (0, 1)]
                         for pb in (0, 1)] for k in range(d)])  # (d, peer, own)
     trial_rows = np.arange(size)[:, None]
     own = reports[trial_rows, agent_ids, dims]
     peer = reports[trial_rows, peers, dims]
+    del peers
     pay = tables[dims, peer, own]
 
     if spec.punishment > 0.0:
         flat = reports[:, :, 0]
         totals = flat.sum(axis=1, dtype=np.int64)[:, None]
         others = totals - flat
-        pay = pay - spec.punishment * ((others == 0) | (others == n - 1))
+        pay -= spec.punishment * ((others == 0) | (others == n - 1))
 
     return pay.sum(axis=0), (pay * pay).sum(axis=0)
 
@@ -256,8 +267,9 @@ def _sample_p(model: GenerativeModel, rng: np.random.Generator, size: int) -> np
 def monte_carlo(model, spec: MechanismSpec, profile, trials: int, seed: int) -> MonteCarloResult:
     """Simulate actual play: draw the latent quality, conditionally i.i.d.
     signals, reports per the profile, then pay every agent through the
-    mechanism.  Trials split into fixed blocks with per-block substreams of
-    (seed, block), run in order, so a seed gives bit-identical results."""
+    mechanism.  Trials split into blocks with per-block substreams of
+    (seed, block), run in order; the block size depends on (n, d) alone, so a
+    seed gives bit-identical results on every machine."""
     trials, seed = _integer(trials, "trials"), _uint64(seed, "seed")
     if trials < 1:
         raise OutOfRange(f"trials must be positive, got {trials}")
@@ -270,10 +282,13 @@ def monte_carlo(model, spec: MechanismSpec, profile, trials: int, seed: int) -> 
     if prof.shape != (n, d, 2):
         raise OutOfRange(f"profile shape {prof.shape} does not match (n={n}, d={d})")
 
+    step = _BLOCK
+    while step > 1 and step * n * d > _CELLS:
+        step //= 2
     total = np.zeros(n)
     total_sq = np.zeros(n)
-    for b in range((trials + _BLOCK - 1) // _BLOCK):  # fixed block order: a deterministic sum
-        s, ss = _mc_block(model_list, spec, prof, seed, b, min(_BLOCK, trials - b * _BLOCK))
+    for b in range(-(-trials // step)):  # fixed block order: a deterministic sum
+        s, ss = _mc_block(model_list, spec, prof, seed, b, min(step, trials - b * step))
         total += s
         total_sq += ss
     means = total / trials

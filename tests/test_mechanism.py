@@ -274,6 +274,17 @@ class TestMinAgents:
         with pytest.raises(NeverFocal):
             min_agents_focal(model, report.truth_payoff, report.delta_star, n_max=10 ** 5)
 
+    @pytest.mark.parametrize("t, delta_star, n_star", [(0.9, 1.5, 2), (0.7, 0.01, 9)])
+    def test_n_max_is_checked(self, t, delta_star, n_star):
+        model = GenerativeModel.uniform(0.3, 0.8, 2)
+        for n_max in (1, 0, -3, 2.5, True, "3"):
+            with pytest.raises(OutOfRange, match="n_max"):
+                min_agents_focal(model, t, delta_star, n_max=n_max)
+        assert min_agents_focal(model, t, delta_star) == n_star
+        for n_max in (float(n_star), np.int64(n_star)):
+            got = min_agents_focal(model, t, delta_star, n_max=n_max)
+            assert got == n_star and type(got) is int
+
     def test_threshold_grows_as_asymmetry_shrinks(self):
         from peerpredict import classify_region
         needed = []

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from peerpredict import (BRIER, GenerativeModel, LineSet, MechanismSpec, OutOfRa
                          expected_payoff, grid_scan, lineset_to_matrix,
                          matrix_from_rule, monte_carlo,
                          prior_from_conditionals, prior_from_model, product_scan,
-                         response_point, symmetric_gain_grid)
+                         response_point, symmetric_gain_grid, verify)
 
 RESTAURANT = prior_from_model(GenerativeModel.uniform(0.4, 0.8, 10))
 BRIER_MATRIX = matrix_from_rule(BRIER, RESTAURANT)
@@ -204,23 +206,41 @@ class TestProductScan:
                   ((0.0, 1.0), (0.0, 1.0))):
             assert s in flat
 
-    def test_n3_matches_brute_force(self):
+    @staticmethod
+    def brute_force_trios(prior, matrix, resolution, tol):
         # every sorted trio of grid strategies, in order, kept when each agent
         # best-responds to the mean response point of the other two
-        ts = np.linspace(0.0, 1.0, 4)
+        ts = np.linspace(0.0, 1.0, resolution)
         grid = [(a, b) for a in ts for b in ts]
+        expect = []
+        for trio in itertools.combinations_with_replacement(range(len(grid)), 3):
+            profile = [grid[k] for k in trio]
+            if all(deviation_gain(prior, matrix, profile, i)[0] < tol for i in range(3)):
+                expect.append(tuple(profile))
+        return expect
+
+    def test_n3_matches_brute_force(self):
         for matrix, tol in ((BRIER_MATRIX, 1e-9), (BRIER_MATRIX, 0.02),
                             (PayoffMatrix(0.9, 0.2, 0.4, 0.6), 0.05)):
-            expect = []
-            for trio in itertools.combinations_with_replacement(range(len(grid)), 3):
-                profile = [grid[k] for k in trio]
-                if all(deviation_gain(RESTAURANT, matrix, profile, i)[0] < tol
-                       for i in range(3)):
-                    expect.append(tuple(profile))
+            expect = self.brute_force_trios(RESTAURANT, matrix, 4, tol)
             got = product_scan(RESTAURANT, matrix, n=3, resolution=4, gain_tolerance=tol)
             if tol > 1e-9:  # the loose tolerances admit asymmetric trios
                 assert any(len(set(p)) > 1 for p in expect)
             assert [tuple(map(tuple, p)) for p in got] == expect
+
+    @pytest.mark.parametrize("prior, matrix, tol", [
+        (RESTAURANT, BRIER_MATRIX, 0.02),
+        (prior_from_conditionals(0.8, 0.45), PayoffMatrix(0.9, 0.2, 0.4, 0.6), 0.05),
+    ])
+    def test_column_chunks_are_invisible(self, monkeypatch, prior, matrix, tol):
+        # 25 strategies at resolution 5: a 175-cell budget scans 7 of the 325
+        # peer-pair columns at a time, so chunk edges cut through the rows of
+        # each peer b's pairs
+        monkeypatch.setattr(verify, "_CELLS", 7 * 25)
+        expect = self.brute_force_trios(prior, matrix, 5, tol)
+        assert any(len(set(p)) > 1 for p in expect)
+        got = product_scan(prior, matrix, n=3, resolution=5, gain_tolerance=tol)
+        assert [tuple(map(tuple, p)) for p in got] == expect
 
     def test_rejects_unsupported_sizes(self):
         for n, resolution in ((2, 0), (2, 1), (3, 1), (4, 5), (3, 22), (2, 3.5), (2, 2002)):
@@ -359,3 +379,65 @@ class TestMonteCarlo:
                         + expected_payoff(prior_b, matrix_b, SymmetricStrategy(*s_b)))
         for mean, se in zip(result.means, result.stderrs):
             assert abs(mean - expect) < 4 * se
+
+    def test_streams_pinned_where_n_times_d_at_most_16(self):
+        # while n * d <= 16 a block holds 65,536 trials, so these values, taken
+        # when every block did, must not move; 65,636 trials span two blocks
+        model = GenerativeModel.uniform(0.4, 0.8, 4)
+        spec = MechanismSpec(matrix=BRIER_MATRIX, n_agents=4, punishment=0.25, model=model)
+        got = monte_carlo(model, spec, [(0.0, 1.0), (0.2, 0.9), (0.0, 1.0), (0.5, 0.5)],
+                          trials=65_636, seed=11)
+        assert got.to_dict() == {
+            "mean": [0.44270215306453403, 0.4367145570524021, 0.4409262343990007,
+                     0.44019475912458317],
+            "stderr": [0.0008415301638273275, 0.0008605030209212798, 0.0008445282527851643,
+                       0.0007922700078577443],
+            "trials": 65636, "seed": 11}
+        models = [GenerativeModel.uniform(0.4, 0.8, 8), GenerativeModel.uniform(0.55, 0.95, 8)]
+        spec = MechanismSpec(matrix=BRIER_MATRIX, n_agents=8,
+                             dim_matrices=(BRIER_MATRIX, PayoffMatrix(1.0, 0.0, 0.0, 0.8)))
+        got = monte_carlo(models, spec, [[(0.1, 0.9), (0.0, 1.0)]] * 8, trials=65_636, seed=12)
+        assert got.to_dict() == {
+            "mean": [0.5756668351981653, 0.5765127801741642, 0.5757113192174025,
+                     0.5756860620753224, 0.5725450877981941, 0.5726323441894005,
+                     0.5709848291626473, 0.5743917445184891],
+            "stderr": [0.0014290584513491902, 0.0014299068464412852, 0.0014300105422472098,
+                       0.0014265952067573715, 0.0014267359067954768, 0.0014269133401036216,
+                       0.0014309708353088843, 0.0014284553284039981],
+            "trials": 65636, "seed": 12}
+
+
+PEAK_PROBE = """
+from peerpredict import (BRIER, GenerativeModel, MechanismSpec, build_mppm, matrix_from_rule,
+                         monte_carlo, prior_from_model, product_scan)
+
+def peak_mib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM")) / 1024
+
+model = GenerativeModel.uniform(0.4, 0.8, 10)
+matrix = matrix_from_rule(BRIER, prior_from_model(model))
+product_scan(prior_from_model(model), matrix, n=3, resolution=21)
+print("product_scan", peak_mib())
+monte_carlo(model, MechanismSpec(matrix=matrix, n_agents=1000), [(0.0, 1.0)] * 1000,
+            trials=1024, seed=1)
+print("monte_carlo n=1000", peak_mib())
+monte_carlo(model, build_mppm(model.with_agents(200)), [(0.0, 1.0)] * 200,
+            trials=65536, seed=1)
+print("punished monte_carlo n=200", peak_mib())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_oracle_peak_memory_is_bounded():
+    # The largest oracle calls, in a fresh process that reports its own
+    # high-water RSS (VmHWM) after each.  The probe reads VmHWM, not
+    # RUSAGE_SELF: a child that subprocess starts through vfork inherits its
+    # parent's ru_maxrss at exec, so its RUSAGE_SELF would report this
+    # test process's peak.
+    p = subprocess.run([sys.executable, "-c", PEAK_PROBE], capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    peaks = [line.rsplit(" ", 1) for line in p.stdout.splitlines()]
+    assert len(peaks) == 3
+    for call, mib in peaks:
+        assert float(mib) < 256.0, (call, mib)
