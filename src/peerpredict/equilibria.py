@@ -87,12 +87,14 @@ class EquilibriumSet:
         ]
 
 
-def response_point(prior: Prior, s: SymmetricStrategy) -> ResponsePoint:
+def _point(prior: Prior, t0: float, t1: float) -> ResponsePoint:
     """x = t0 q(0|0) + t1 q(1|0), y = t0 q(0|1) + t1 q(1|1)."""
-    return ResponsePoint(
-        x=s.t0 * prior.q00 + s.t1 * prior.q10,
-        y=s.t0 * prior.q01 + s.t1 * prior.q11,
-    )
+    return ResponsePoint(x=t0 * prior.q00 + t1 * prior.q10, y=t0 * prior.q01 + t1 * prior.q11)
+
+
+def response_point(prior: Prior, s: SymmetricStrategy) -> ResponsePoint:
+    """The peer report-1 probabilities (x, y) when everyone plays s."""
+    return _point(prior, s.t0, s.t1)
 
 
 def strategy_from_point(prior: Prior, p: ResponsePoint) -> SymmetricStrategy:
@@ -110,17 +112,8 @@ def _coincide(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return abs(a[0] - b[0]) < MERGE_TOL and abs(a[1] - b[1]) < MERGE_TOL
 
 
-def enumerate_equilibria(prior: Prior, qstar: float,
-                         matrix: Optional[PayoffMatrix] = None) -> EquilibriumSet:
-    """All symmetric equilibria of a strict mechanism with break-even qstar.
-
-    Candidates are emitted in LABELS precedence order: Zero, One and Truth
-    always; Lie when q(0|1) <= qstar <= q(0|0); QStarMix, TruthOne and
-    TruthZero always; LieOne when q(0|1) <= qstar; LieZero when
-    qstar <= q(0|0).  A candidate that coincides with an earlier one is
-    dropped, so the earlier label wins (count 7, 8 or 9).  When a matrix is
-    supplied its payoffs are attached.
-    """
+def _equilibria(prior: Prior, qstar: float, matrix: Optional[PayoffMatrix] = None) -> list[tuple]:
+    """enumerate_equilibria's rows as (label, t0, t1, point, payoff); each rate is in [0, 1]."""
     if not (prior.q10 < qstar < prior.q11):
         raise OutOfRange(
             f"qstar must lie strictly between q(1|0)={prior.q10} and q(1|1)={prior.q11}, got {qstar}"
@@ -138,12 +131,11 @@ def enumerate_equilibria(prior: Prior, qstar: float,
         candidates.append(("LieZero", qstar / q00, 0.0))
 
     ls = matrix.lineset() if matrix is not None else None
-    kept: list[Equilibrium] = []
+    kept: list[tuple] = []
     for label, t0, t1 in candidates:
-        strat = SymmetricStrategy(t0, t1)
-        if any(_coincide((strat.t0, strat.t1), (e.strategy.t0, e.strategy.t1)) for e in kept):
+        if any(_coincide((t0, t1), (e[1], e[2])) for e in kept):
             continue
-        point = response_point(prior, strat)
+        point = _point(prior, t0, t1)
         # Zero and One pay h00 and h11 exactly; best_response_payoff would round them
         if matrix is None:
             payoff = None
@@ -153,8 +145,23 @@ def enumerate_equilibria(prior: Prior, qstar: float,
             payoff = matrix.h11
         else:
             payoff = best_response_payoff(prior, ls, point)
-        kept.append(Equilibrium(label=label, strategy=strat, point=point, payoff=payoff))
-    return EquilibriumSet(equilibria=tuple(kept))
+        kept.append((label, t0, t1, point, payoff))
+    return kept
+
+
+def enumerate_equilibria(prior: Prior, qstar: float,
+                         matrix: Optional[PayoffMatrix] = None) -> EquilibriumSet:
+    """All symmetric equilibria of a strict mechanism with break-even qstar.
+
+    Candidates are emitted in LABELS precedence order: Zero, One and Truth
+    always; Lie when q(0|1) <= qstar <= q(0|0); QStarMix, TruthOne and
+    TruthZero always; LieOne when q(0|1) <= qstar; LieZero when
+    qstar <= q(0|0).  A candidate that coincides with an earlier one is
+    dropped, so the earlier label wins (count 7, 8 or 9).  When a matrix is
+    supplied its payoffs are attached.
+    """
+    return EquilibriumSet(tuple(Equilibrium(label, SymmetricStrategy(t0, t1), point, payoff)
+                                for label, t0, t1, point, payoff in _equilibria(prior, qstar, matrix)))
 
 
 def equilibrium_set(prior: Prior, matrix: PayoffMatrix) -> EquilibriumSet:
@@ -263,9 +270,9 @@ def hull_report(prior: Prior, qstar: float) -> HullReport:
     """Convex hull of the translated informative equilibria, centred on
     whether truth-telling is an extreme point and who its neighbors are."""
     translated = {}
-    for e in enumerate_equilibria(prior, qstar).informative():
-        f = translate(prior, qstar, e.point)
-        translated[e.label] = (f.x, f.y)
+    for label, _, _, point, _ in _equilibria(prior, qstar)[2:]:  # the rows past Zero and One
+        f = translate(prior, qstar, point)
+        translated[label] = (f.x, f.y)
 
     truth_pt = translated["Truth"]
     lie_coincides = "Lie" in translated and _coincide(translated["Lie"], truth_pt)
@@ -295,25 +302,13 @@ def hull_report(prior: Prior, qstar: float) -> HullReport:
             truth_extreme = False
             neighbors = None
 
-    return HullReport(
-        truth_extreme=truth_extreme,
-        neighbors=neighbors,
-        lie_coincides_truth=lie_coincides,
-        truth_collinear=collinear,
-        translated=translated,
-    )
+    return HullReport(truth_extreme, neighbors, lie_coincides, collinear, translated)
 
 
 def plot_data(prior: Prior, ls: LineSet, resolution: int) -> list[tuple[float, float, str, float]]:
     """Uniform strategy-grid sample of the best-response plot; rows are
     (x, y, quadrant, payoff), suitable for external rendering."""
     resolution = _resolution(resolution, 2)
-    rows = []
     step = 1.0 / (resolution - 1)
-    for i in range(resolution):
-        for j in range(resolution):
-            s = SymmetricStrategy(i * step, j * step)
-            p = response_point(prior, s)
-            rows.append((p.x, p.y, quadrant(p, ls.qstar),
-                         best_response_payoff(prior, ls, p)))
-    return rows
+    points = (_point(prior, i * step, j * step) for i in range(resolution) for j in range(resolution))
+    return [(p.x, p.y, quadrant(p, ls.qstar), best_response_payoff(prior, ls, p)) for p in points]

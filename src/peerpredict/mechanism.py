@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .equilibria import equilibrium_set
+from .equilibria import _equilibria
 from .errors import IndexOutOfRange, NeverFocal, OutOfRange
 from .prior import (GenerativeModel, _integer, _log_beta_moment, _number, _uint64, epsilon_q,
                     model_from_dict, prior_from_model)
@@ -300,8 +300,8 @@ def _all_ones(model: GenerativeModel, groups: list) -> float:
 def _rival_table(model: GenerativeModel, matrix: PayoffMatrix, n: int) -> dict:
     """{label: (u, pi0, pi1)} over the matrix's equilibria: the unpunished payoff u and the
     probabilities that all n - 1 other agents playing the equilibrium report 0, and 1."""
-    eqs = equilibrium_set(prior_from_model(model), matrix).equilibria
-    return {e.label: (e.payoff, *_alike(model, [(e.strategy.t0, e.strategy.t1, n - 1)])) for e in eqs}
+    rows = _equilibria(prior_from_model(model), matrix.qstar(), matrix)
+    return {label: (u, *_alike(model, [(t0, t1, n - 1)])) for label, t0, t1, _, u in rows}
 
 
 def mppm_equilibrium_payoffs(spec: MechanismSpec) -> dict:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .equilibria import ResponsePoint, equilibrium_set, translate
+from .equilibria import ResponsePoint, _equilibria, translate
 from .errors import (Boundary, DegenerateMatrix, EpsilonMissing, MirrorRequired,
                      NotStrict, OutOfRange, SymmetricPrior, TruthNotEquilibrium)
 from .prior import Prior
@@ -68,9 +68,9 @@ def _truth_and_gap(prior: Prior, pf: PayoffMatrix) -> tuple[float, float]:
             f"truth-telling is not a strict equilibrium (break-even {qs}, "
             f"slopes {pf.alpha} vs {pf.beta})"
         )
-    eqs = equilibrium_set(prior, pf)
-    truth = eqs["Truth"].payoff
-    return truth, truth - max(e.payoff for e in eqs.informative() if e.label != "Truth")
+    # the rows open with Zero, One and Truth, which never coincide
+    _, _, truth, *rivals = [u for *_, u in _equilibria(prior, qs, pf)]
+    return truth, truth - max(rivals)
 
 
 def gap(prior: Prior, pf: PayoffMatrix) -> float:

@@ -64,6 +64,7 @@ def deviation_gain(prior: Prior, pf: PayoffMatrix, profile: Sequence[tuple[float
     report distribution, so pure responses per signal suffice.
     """
     strategies, z = _peer_rates(prior, profile)
+    i = _integer(i, "agent index")
     if not 0 <= i < len(strategies):
         raise OutOfRange(f"agent index {i} outside profile of size {len(strategies)}")
 
@@ -275,6 +276,8 @@ def monte_carlo(model, spec: MechanismSpec, profile, trials: int, seed: int) -> 
         raise OutOfRange(f"trials must be positive, got {trials}")
     n, d = spec.n_agents, spec.dimensions
     model_list = list(model) if isinstance(model, (list, tuple)) else [model] * d
+    if len(model_list) != d:
+        raise OutOfRange(f"{len(model_list)} models given for a spec of d={d} dimensions")
 
     prof = _rates(profile)
     if prof.shape == (n, 2):

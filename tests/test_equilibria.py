@@ -316,3 +316,16 @@ class TestPlotData:
     def test_resolution_guard(self):
         with pytest.raises(OutOfRange):
             plot_data(RESTAURANT, BRIER_MATRIX.lineset(), 1)
+
+    @pytest.mark.parametrize("prior", [RESTAURANT, RESTAURANT.mirrored()],
+                             ids=["oriented", "mirrored"])
+    def test_rows_match_response_point(self, prior):
+        ls = matrix_from_rule(BRIER, prior).lineset()
+        step = 1.0 / 20
+        expect = []
+        for i in range(21):
+            for j in range(21):
+                p = response_point(prior, SymmetricStrategy(i * step, j * step))
+                expect.append((p.x, p.y, quadrant(p, ls.qstar),
+                               best_response_payoff(prior, ls, p)))
+        assert plot_data(prior, ls, 21) == expect

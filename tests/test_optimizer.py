@@ -43,11 +43,19 @@ class TestGap:
         assert gap(prior, m) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_enumerated_payoffs(self):
-        m = matrix_from_rule(BRIER, RESTAURANT)
-        eqs = equilibrium_set(RESTAURANT, m)
-        rivals = max(e.payoff for e in eqs.equilibria
-                     if e.label not in ("Truth", "Zero", "One"))
-        assert gap(RESTAURANT, m) == pytest.approx(eqs["Truth"].payoff - rivals, abs=1e-15)
+        # gap reads the enumeration's rows, not the dataclasses: it must equal the
+        # difference of the payoffs equilibrium_set attaches, bit for bit
+        rng = np.random.default_rng(43)
+        priors = [RESTAURANT, R2_PRIOR, R3_PRIOR, RESTAURANT.mirrored()]
+        priors += [prior_from_conditionals(*sorted(rng.uniform(0.02, 0.98, 2), reverse=True))
+                   for _ in range(60)]
+        for prior in priors:
+            optimal = optimal_mechanism(prior, epsilon=1e-3 * abs(prior.q11 - prior.q00))
+            for m in (matrix_from_rule(BRIER, prior), optimal.mechanism):
+                eqs = equilibrium_set(prior, m)
+                rivals = max(e.payoff for e in eqs.equilibria
+                             if e.label not in ("Truth", "Zero", "One"))
+                assert gap(prior, m) == eqs["Truth"].payoff - rivals
 
     def test_degenerate_matrix(self):
         with pytest.raises(DegenerateMatrix):

@@ -111,6 +111,20 @@ class TestDeviationGain:
                         expect = brute_force_gain(model, pf, profile, i, punishment)
                         assert g == pytest.approx(expect, abs=1e-12), (profile, i, punishment)
 
+    @pytest.mark.parametrize("i", [1.5, True, -1, 4, "1", None],
+                             ids=["half", "bool", "negative", "past_end", "str", "none"])
+    def test_rejects_agent_index(self, i):
+        # an index is read as an integer, as the payment path reads it
+        with pytest.raises(OutOfRange, match="agent index"):
+            deviation_gain(RESTAURANT, BRIER_MATRIX, [(0.0, 1.0), (0.3, 0.8)] * 2, i)
+
+    @pytest.mark.parametrize("i", [2.0, np.int64(2), np.float64(2.0)],
+                             ids=["float", "np_int64", "np_float64"])
+    def test_integral_agent_index(self, i):
+        profile = [(0.0, 1.0), (0.3, 0.8)] * 2
+        assert deviation_gain(RESTAURANT, BRIER_MATRIX, profile, i) == \
+            deviation_gain(RESTAURANT, BRIER_MATRIX, profile, 2)
+
     def test_rejects_unscorable_profiles(self):
         for profile in ([(0.0, 1.0)], [], [(0.0, 1.0), (5.0, -3.0)],
                         [(0.0, 1.0), (float("nan"), 0.5)], [(0.0, 1.0), (0.2, np.inf)],
@@ -361,6 +375,18 @@ class TestMonteCarlo:
         profile = [[(0.0, 1.0), (0.0, 1.0)]] * 3
         result = monte_carlo([model, model], spec, profile, trials=5000, seed=3)
         assert len(result.means) == 3
+
+    def test_model_list_must_match_dimensions(self):
+        model = GenerativeModel.uniform(0.4, 0.8, 3)
+        spec = MechanismSpec(matrix=BRIER_MATRIX, n_agents=3,
+                             dim_matrices=(BRIER_MATRIX, PayoffMatrix(1, 0, 0, 1)))
+        profile = [[(0.0, 1.0), (0.0, 1.0)]] * 3
+        for models in ([model], [], [model] * 3):
+            with pytest.raises(OutOfRange, match=f"{len(models)} models .* d=2"):
+                monte_carlo(models, spec, profile, trials=100, seed=0)
+        single = MechanismSpec(matrix=BRIER_MATRIX, n_agents=3)
+        with pytest.raises(OutOfRange, match="2 models .* d=1"):
+            monte_carlo([model, model], single, [(0.0, 1.0)] * 3, trials=100, seed=0)
 
     def test_multidim_payoff_averages_per_bit(self):
         # expected payment of a product profile is the mean of the per-bit
