@@ -60,11 +60,9 @@ def _load_prior(raw: str):
 
 
 def _load_matrix(args, prior):
-    if getattr(args, "matrix", None):
+    if args.matrix:
         return PayoffMatrix.from_dict(_json_arg(args.matrix))
-    if getattr(args, "rule", None):
-        if args.rule != "brier":
-            raise PeerPredictError(f"unknown rule {args.rule!r}; only 'brier' is built in")
+    if args.rule:  # argparse admits only "brier"
         return matrix_from_rule(BRIER, prior)
     raise PeerPredictError("one of --matrix or --rule is required")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import OutOfRange, OutsideHull
-from .prior import Prior, _resolution
+from .prior import Prior, _require_qstar, _resolution
 from .scoring import LineSet, PayoffMatrix
 
 QUADRANT_TOL = 1e-12
@@ -114,10 +114,7 @@ def _coincide(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 def _equilibria(prior: Prior, qstar: float, matrix: Optional[PayoffMatrix] = None) -> list[tuple]:
     """enumerate_equilibria's rows as (label, t0, t1, point, payoff); each rate is in [0, 1]."""
-    if not (prior.q10 < qstar < prior.q11):
-        raise OutOfRange(
-            f"qstar must lie strictly between q(1|0)={prior.q10} and q(1|1)={prior.q11}, got {qstar}"
-        )
+    _require_qstar(prior, qstar)
     q11, q10, q00, q01 = prior.q11, prior.q10, prior.q00, prior.q01
     candidates = [("Zero", 0.0, 0.0), ("One", 1.0, 1.0), ("Truth", 0.0, 1.0)]
     if q01 <= qstar <= q00:

@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 from .equilibria import _equilibria
 from .errors import IndexOutOfRange, NeverFocal, OutOfRange
+from .optimizer import optimal_mechanism
 from .prior import (GenerativeModel, _integer, _log_beta_moment, _number, _uint64, epsilon_q,
                     model_from_dict, prior_from_model)
 from .scoring import PayoffMatrix
@@ -204,9 +205,9 @@ def punishment_level(t: float, delta_star: float, eps_q: float) -> float:
 
 
 def focality_condition(eps_q: float, t: float, delta_star: float) -> bool:
-    """True when the punishment window is non-empty:
-    eps_q < delta_star / (1 - t + delta_star)."""
-    return eps_q < delta_star / (1.0 - t + delta_star)
+    """True when the punishment window (1-t)/(1-eps_q) < P < delta_star/eps_q is
+    non-empty: eps_q (1 - t + delta_star) < delta_star, written without a division."""
+    return eps_q * (1.0 - t + delta_star) < delta_star
 
 
 def min_agents_focal(model: GenerativeModel, t: float, delta_star: float,
@@ -318,8 +319,6 @@ def mppm_equilibrium_payoffs(spec: MechanismSpec) -> dict:
 def build_mppm(model: GenerativeModel, epsilon: Optional[float] = None) -> MechanismSpec:
     """Assemble the punished mechanism for a generative model: the optimal
     matrix for the induced prior plus the punishment keyed to eps_q."""
-    from .optimizer import optimal_mechanism
-
     prior = prior_from_model(model)
     report = optimal_mechanism(prior, epsilon=epsilon)
     p = punishment_level(report.truth_payoff, report.delta_star, epsilon_q(model))

@@ -15,13 +15,14 @@ from typing import Optional
 from .equilibria import ResponsePoint, _equilibria, translate
 from .errors import (Boundary, DegenerateMatrix, EpsilonMissing, MirrorRequired,
                      NotStrict, OutOfRange, SymmetricPrior, TruthNotEquilibrium)
-from .prior import Prior
+from .prior import Prior, _require_qstar
 from .scoring import PayoffMatrix, lineset_from_k_qstar, lineset_to_matrix, normalize
 
 
 @dataclass(frozen=True)
 class Region:
-    """Classification tag plus the comparison quantities that decided it."""
+    """Classification tag plus the quantities that decided it: each delta (and
+    xi_at_boundary) is the closed-form envelope min(kappa, iota), not an enumerated gap."""
 
     tag: str  # R1 | R2 | R3
     qstar_a_opt: float
@@ -100,8 +101,7 @@ def k_sup(prior: Prior, qstar: float) -> float:
     TruthOne and Lie (the slope of the translated segment between them).
     """
     _require_oriented(prior)
-    if not (prior.q10 < qstar < prior.q11):
-        raise OutOfRange(f"qstar {qstar} outside ({prior.q10}, {prior.q11})")
+    _require_qstar(prior, qstar)
     if qstar == prior.q00:
         raise Boundary("k_sup is branch-ambiguous exactly at qstar = q(0|0)")
     if qstar > prior.q00:
@@ -117,8 +117,7 @@ def kappa_iota(prior: Prior, branch: str, qstar: float) -> tuple[float, float]:
     _require_oriented(prior)
     q11, q10, q00, q01 = prior.q11, prior.q10, prior.q00, prior.q01
     if branch == "a":
-        if not (q10 < qstar < q11):
-            raise OutOfRange(f"branch a needs q(1|0) < qstar < q(1|1), got {qstar}")
+        _require_qstar(prior, qstar)
         kap = (q01 / (q10 + q01)) * (q11 - qstar) * (qstar - q10) / (q11 * (1.0 - qstar))
         # denominator written positively: qstar (q10 q11 - (q11 - q00) qstar) > 0 on the branch
         iot = (q01 / (q10 + q01)) * q10 * (q11 - qstar) * (qstar - q10) / (
@@ -164,13 +163,13 @@ def classify_region(prior: Prior) -> Region:
     p = prior if prior.q11 > prior.q00 else prior.mirrored()
 
     qa = optimal_qstar(p, "a")
-    delta_a = xi(p, k_sup(p, qa), qa)
+    delta_a = min(kappa_iota(p, "a" if qa > p.q00 else "b", qa))  # k_sup's branch at qa
     if p.q00 <= p.q10:
         return Region(tag="R1", qstar_a_opt=qa, delta_a=delta_a,
                       delta_b=None, xi_at_boundary=None)
 
     qb = optimal_qstar(p, "b")
-    delta_b = xi(p, k_sup(p, qb), qb)
+    delta_b = min(kappa_iota(p, "b", qb))
     if qa > p.q00:
         tag = "R1" if delta_a >= delta_b else "R2"
         return Region(tag=tag, qstar_a_opt=qa, delta_a=delta_a,
@@ -209,7 +208,7 @@ def optimal_mechanism(prior: Prior, epsilon: Optional[float] = None) -> GapRepor
         matrix = normalize(lineset_to_matrix(lineset_from_k_qstar(k_sup(p, qs), qs, p)))
         eps_used = epsilon
 
-    # authoritative values; closed forms are shadow-checked in tests
+    # the one enumeration: authoritative values; tests hold the region's closed forms to them
     truth_payoff, delta_star = _truth_and_gap(p, matrix)
 
     if mirrored:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DegenerateModel, NotPositivelyCorrelated, OutOfRange
 
@@ -132,6 +132,7 @@ class GenerativeModel:
     def moment(self, k: int, complement: bool = False) -> float:
         """E[p^k], or E[(1-p)^k] when complement is set; closed form per kind.
         Beta orders 1 and 2 are plain ratios, higher ones _log_beta_moment."""
+        k = _integer(k, "moment order")
         if k < 0:
             raise OutOfRange("moment order must be non-negative")
         if k == 0:
@@ -150,10 +151,7 @@ class GenerativeModel:
         return sum(w * p ** k for w, p in zip(self.weights, ps))
 
     def with_agents(self, n_agents: int) -> "GenerativeModel":
-        return GenerativeModel(
-            kind=self.kind, n_agents=n_agents, a=self.a, b=self.b,
-            points=self.points, weights=self.weights,
-        )
+        return replace(self, n_agents=n_agents)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "n": self.n_agents}
@@ -222,6 +220,13 @@ def _resolution(value, low: int, high: int = 2001) -> int:
     if not low <= resolution <= high:
         raise OutOfRange(f"resolution must lie in [{low}, {high}], got {resolution}")
     return resolution
+
+
+def _require_qstar(prior: Prior, qstar: float) -> None:
+    """Raise OutOfRange unless q(1|0) < qstar < q(1|1), where truth-telling can be strict."""
+    if not (prior.q10 < qstar < prior.q11):
+        raise OutOfRange(f"qstar must lie strictly between q(1|0)={prior.q10} and "
+                         f"q(1|1)={prior.q11}, got {qstar}")
 
 
 def _number(value, name: str, cast=float):

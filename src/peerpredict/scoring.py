@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DegenerateMatrix, InfeasibleTangents, NotStrict, OutOfRange
-from .prior import Prior, _number
+from .prior import Prior, _number, _require_qstar
 
 NORMALIZE_SNAP_TOL = 1e-12
 
@@ -64,6 +64,8 @@ class PayoffMatrix:
 
     def slope_k(self, prior: Prior) -> float:
         """Contour slope of the best-response payoff in the truth quadrant."""
+        if self.alpha == 0.0:
+            raise OutOfRange("contour slope needs a nonzero alpha (h11 != h01)")
         return -self.beta * prior.q01 / (self.alpha * prior.q10)
 
     def mirrored(self) -> "PayoffMatrix":
@@ -177,10 +179,7 @@ def lineset_from_k_qstar(k: float, qstar: float, prior: Prior) -> LineSet:
     """Line-set with unit alpha whose truth-quadrant contour slope equals k."""
     if k <= 0.0:
         raise OutOfRange(f"contour slope k must be positive, got {k}")
-    if not (prior.q10 < qstar < prior.q11):
-        raise OutOfRange(
-            f"qstar must lie strictly between q(1|0)={prior.q10} and q(1|1)={prior.q11}, got {qstar}"
-        )
+    _require_qstar(prior, qstar)
     return LineSet(alpha=1.0, beta=-k * prior.q10 / prior.q01, qstar=qstar, gamma=0.0)
 
 

@@ -238,6 +238,12 @@ class TestPunishmentLevel:
         assert focality_condition(eps - 1e-9, t, ds)
         assert not focality_condition(eps + 1e-4, t, ds)
 
+    @pytest.mark.parametrize("eps, t, ds", [(0.1, 1.0, 0.0), (0.1, 1.5, 0.1),
+                                            (0.05, 0.4, 0.02), (0.01, 0.4, 0.02)])
+    def test_condition_is_the_window(self, eps, t, ds):
+        # non-empty (1-t)/(1-eps) < P < ds/eps, also where 1 - t + ds <= 0
+        assert focality_condition(eps, t, ds) == ((1 - t) / (1 - eps) < ds / eps)
+
     def test_eps_range_guard(self):
         with pytest.raises(OutOfRange):
             punishment_level(0.5, 0.1, 0.0)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestKSup:
     def test_boundary_error(self):
         with pytest.raises(Boundary):
             k_sup(R2_PRIOR, R2_PRIOR.q00)
+
+    def test_qstar_rule_has_one_message(self):
+        # k_sup, branch a of kappa_iota, lineset_from_k_qstar and the enumeration
+        # share one admissibility check, q(1|0) < q* < q(1|1)
+        messages = set()
+        for call in (lambda: k_sup(R2_PRIOR, 0.2), lambda: kappa_iota(R2_PRIOR, "a", 0.2),
+                     lambda: lineset_from_k_qstar(1.0, 0.2, R2_PRIOR),
+                     lambda: enumerate_equilibria(R2_PRIOR, 0.2)):
+            with pytest.raises(OutOfRange) as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
     def test_focality_window_slope_identities(self):
         # the window bounding slopes are the translated-segment slopes
@@ -360,3 +373,96 @@ def grid_supremum(prior, resolution: int) -> float:
         for k in np.linspace(lower, upper, resolution + 2)[1:-1]:
             best = max(best, xi(prior, k, qs))
     return best
+
+
+def enumerated_region(prior):
+    """The region rule with xi(k_sup(q*), q*), which enumerates equilibria, for
+    both deltas: (tag, delta_a, delta_b), the reference for the closed forms."""
+    p = prior if prior.q11 > prior.q00 else prior.mirrored()
+    qa = optimal_qstar(p, "a")
+    delta_a = xi(p, k_sup(p, qa), qa)
+    if p.q00 <= p.q10:
+        return "R1", delta_a, None
+    qb = optimal_qstar(p, "b")
+    delta_b = xi(p, k_sup(p, qb), qb)
+    if qa > p.q00:
+        return ("R1" if delta_a >= delta_b else "R2"), delta_a, delta_b
+    return ("R2" if min(kappa_iota(p, "a", p.q00)) <= delta_b else "R3"), delta_a, delta_b
+
+
+def seeded_priors(seed: int, count: int, extreme: int) -> list:
+    """count priors with both conditionals uniform on (0, 1), in either
+    orientation, then extreme ones with min(q(0|1), q(1|0)) below 1e-3."""
+    rng = np.random.default_rng(seed)
+    pairs = [sorted(rng.uniform(0.0, 1.0, 2), reverse=True) for _ in range(count)]
+    for _ in range(extreme):
+        small = 10 ** rng.uniform(-8, -3)
+        other = rng.uniform(0.01, 0.99)
+        pairs.append((1 - small, other) if rng.random() < 0.5 else (other, small))
+    priors = [prior_from_conditionals(q11, q10) for q11, q10 in pairs if q11 > q10]
+    return [p for p in priors if p.signal_asymmetric]
+
+
+class TestClosedFormRegion:
+    PRIORS = seeded_priors(2503, 2000, 400)
+
+    def test_tags_and_deltas_match_enumeration(self):
+        tags, flipped, extreme = set(), 0, 0
+        for prior in self.PRIORS:
+            region = classify_region(prior)
+            tag, delta_a, delta_b = enumerated_region(prior)
+            assert region.tag == tag
+            tags.add(tag)
+            flipped += prior.q11 < prior.q00
+            if min(prior.q01, prior.q10) < 1e-3:
+                extreme += 1
+                continue
+            assert abs(region.delta_a - delta_a) <= 1e-12
+            assert (region.delta_b is None) == (delta_b is None)
+            if delta_b is not None:
+                assert abs(region.delta_b - delta_b) <= 1e-12
+        assert tags == {"R1", "R2", "R3"}
+        assert 0 < flipped < len(self.PRIORS) and extreme >= 300
+
+    def test_closed_form_equals_enumerated_delta_star(self):
+        seen = set()
+        for prior in self.PRIORS:
+            if min(prior.q01, prior.q10) < 1e-3:
+                continue
+            report = optimal_mechanism(prior, epsilon=1e-3 * abs(prior.q11 - prior.q00))
+            region = report.region
+            if region.tag != "R3":
+                seen.add(region.tag)
+                closed = region.delta_a if region.tag == "R1" else region.delta_b
+                assert abs(closed - report.delta_star) <= 1e-12
+        assert seen == {"R1", "R2"}
+
+    def test_one_enumeration_per_optimum(self, monkeypatch):
+        import peerpredict.optimizer as optimizer
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _equilibria(*args)
+
+        _equilibria = optimizer._equilibria
+        monkeypatch.setattr(optimizer, "_equilibria", counted)
+        for prior in (RESTAURANT, R2_PRIOR, R3_PRIOR, R3_PRIOR.mirrored()):
+            calls.clear()
+            classify_region(prior)
+            assert len(calls) == 0
+            optimal_mechanism(prior, epsilon=1e-3)
+            assert len(calls) == 1
+
+    def test_extreme_prior_matches_exact_envelope(self):
+        prior = prior_from_conditionals(0.99999999, 0.3)  # q(0|1) = 1e-8
+        q11, q10 = Fraction(prior.q11), Fraction(prior.q10)
+        q00, q01 = 1 - q10, 1 - q11
+        q = Fraction(optimal_qstar(prior, "b"))
+        pre = q01 * (q11 - q00) / (q10 + q01)
+        kap = pre * (q - q10) * (q00 - q) / (q00 * q10 * (q - q01))
+        iot = pre * (q - q10) * (q00 - q) / ((q00 * q10 - q01 * (1 - q)) * (1 - q))
+        exact = min(kap, iot)
+        delta_b = classify_region(prior).delta_b
+        # the envelope is 3.8e-9 here, so hold the relative error too
+        assert abs(delta_b - exact) <= 1e-11 and abs(delta_b - exact) <= 1e-12 * exact

@@ -112,6 +112,13 @@ class TestModelValidation:
             with pytest.raises(OutOfRange):
                 build()
 
+    def test_moment_order_must_be_integer(self):
+        model = GenerativeModel.beta(2.0, 3.0, 4)
+        for k in (2.5, True, "3", None):
+            with pytest.raises(OutOfRange):
+                model.moment(k)
+        assert model.moment(3.0) == model.moment(3)
+
     def test_agent_count_must_be_integer(self):
         for n in (4.5, True, "4", None, float("inf")):
             with pytest.raises(OutOfRange):

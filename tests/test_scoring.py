@@ -137,6 +137,11 @@ class TestMatrices:
         with pytest.raises(NotStrict):
             LineSet(alpha=1.0, beta=1.0, qstar=0.5, gamma=0.0)
 
+    def test_slope_k_needs_nonzero_alpha(self):
+        # strictly proper (alpha 0, beta -1, q* 0.5), but its truth-quadrant contour is vertical
+        with pytest.raises(OutOfRange):
+            PayoffMatrix(0.5, 0.0, 0.5, 1.0).slope_k(RESTAURANT)
+
     def test_constant_matrix_degenerate(self):
         with pytest.raises(DegenerateMatrix):
             normalize(PayoffMatrix(0.3, 0.3, 0.3, 0.3))
